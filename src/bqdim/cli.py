@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ class RunConfig:
     r_max: int = 8
     probe_cutoff: int = 4
     basis_cap: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -94,13 +92,6 @@ def _jsonify(value):
     if isinstance(value, (set, frozenset)):
         return sorted(value)
     raise TypeError(f"not JSON serialisable: {value!r}")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("BQDIM_THREADS")
-    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +209,8 @@ def _series_csv(rows: list[dict]) -> str:
 
 
 def cmd_gkdim(args) -> int:
-    threads = _threads(args)
     cfg = RunConfig(q=args.q, r_max=args.rmax, probe_cutoff=args.probe,
-                    basis_cap=args.basis_cap, seed=args.seed)
+                    basis_cap=args.basis_cap)
     try:
         if args.gkdim_mode == "module":
             n = args.n
@@ -228,17 +218,16 @@ def cmd_gkdim(args) -> int:
             t = _parse_torus(args.t, n)
             spec = repsoq.RepSpec(n, word, t)
             series, cert = growth.module_certificate(
-                spec, cfg.r_max, cfg.q, basis_cap=cfg.basis_cap,
-                threads=threads)
+                spec, cfg.r_max, cfg.q, basis_cap=cfg.basis_cap)
         else:
             n, m = args.n, args.m
             series, cert = growth.homogeneous_certificate(
                 n, m, cfg.r_max, cfg.q, probe_cutoff=cfg.probe_cutoff,
-                basis_cap=cfg.basis_cap, threads=threads)
+                basis_cap=cfg.basis_cap)
     except growth.BudgetExceeded as exc:
         payload = {"schema": SCHEMA, "command": f"gkdim.{args.gkdim_mode}",
                    "error": "budget-exceeded", "detail": str(exc),
-                   "flags": ["budget-exceeded"], "seed": cfg.seed}
+                   "flags": ["budget-exceeded"]}
         if exc.partial is not None:
             payload["partial_series"] = exc.partial.values
             payload["flags"] += exc.partial.flags
@@ -248,7 +237,7 @@ def cmd_gkdim(args) -> int:
                "context": series.context, "target": cert.target,
                "rows": cert.rows, "witness_ok": cert.witness_ok,
                "estimate": cert.estimate, "ok": cert.ok,
-               "seed": cfg.seed, "flags": series.flags}
+               "flags": series.flags}
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             fh.write(_series_csv(cert.rows))
@@ -268,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="odd orthogonal quantum-group modules, diagrams and "
                     "growth certificates")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: BQDIM_THREADS or 1)")
+                        help="ignored; runs are single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     weyl = sub.add_parser("weyl", help="Weyl group computations")
@@ -338,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basis-cap", type=int, default=20000)
         p.add_argument("--csv", default=None, help="write the series as CSV")
         p.add_argument("--probe", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the output for reproducibility")
     gkdim.set_defaults(func=cmd_gkdim)
     return parser
 

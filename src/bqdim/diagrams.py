@@ -22,60 +22,25 @@ from . import weylb
 from .qoperators import TensorOperator, WeightedShiftSum
 from .weylb import Word
 
-# tag -> (realization builder, DOT style, DOT label)
-_PRIMITIVES: dict[str, tuple] = {}
-
-
-def _register(tag: str, builder, style: str, label: str) -> None:
-    _PRIMITIVES[tag] = (builder, style, label)
-
-
-def _init_primitives() -> None:
-    if _PRIMITIVES:
-        return
-    sq = lambda: qo.sqrt_one_plus_q2(1)
-    rad = lambda: qo.sqrt_radical(2, 2)
-    _register("id", qo.identity_shift, "solid", "I")
-    _register("alpha_dn",
-              lambda: qo.product(qo.sqrt_radical(4, 4), qo.shift_down()),
-              "solid", "-")
-    _register("alpha_up",
-              lambda: qo.product(qo.shift_up(), qo.sqrt_radical(4, 4)),
-              "solid", "+")
-    _register("neg_q2n2", lambda: qo.q_power(2, 2).scaled(-1), "solid", "u+")
-    _register("q2n2", lambda: qo.q_power(2, 2), "solid", "u-")
-    _register("q2n", lambda: qo.q_power(2, 0), "solid", "d+")
-    _register("neg_q2n", lambda: qo.q_power(2, 0).scaled(-1), "solid", "d-")
-    _register("alpha2_dn",
-              lambda: qo.product(qo.sqrt_radical(2, 2), qo.sqrt_radical(2, 4),
-                                 qo.shift_down(), qo.shift_down()),
-              "solid", "--")
-    _register("alpha2_up",
-              lambda: qo.product(qo.shift_up(), qo.shift_up(),
-                                 qo.sqrt_radical(2, 4), qo.sqrt_radical(2, 2)),
-              "solid", "++")
-    _register("mid",
-              lambda: qo.identity_shift().add(
-                  qo.product(qo.sqrt_one_plus_q2(2), qo.q_power(2, 0)).scaled(-1)),
-              "dashed", "m")
-    _register("beta_dn_lo",
-              lambda: qo.product(qo.q_power(1, 0), sq(), rad(), qo.shift_down()),
-              "dotted", "b")
-    _register("beta_dn_hi",
-              lambda: qo.product(qo.q_power(1, 1), sq(), rad(),
-                                 qo.shift_down()).scaled(-1),
-              "dashed", "b'")
-    _register("beta_up_lo",
-              lambda: qo.product(qo.shift_up(), sq(), rad(), qo.q_power(1, 0)),
-              "bold", "b*")
-    _register("beta_up_hi",
-              lambda: qo.product(qo.shift_up(), sq(), rad(),
-                                 qo.q_power(1, 1)).scaled(-1),
-              "bold", "b*'")
-    # block corners share realizations with the crossing diagonals but keep
-    # their own tags: the drawn arrow styles differ positionally
-    _register("q2n2_block", lambda: qo.q_power(2, 2), "dotted", "w")
-    _register("q2n_block", lambda: qo.q_power(2, 0), "solid", "d")
+# edge tag -> (DOT style, DOT label); the operators are repsoq.EDGE_OPERATORS
+_DOT_ATTRS: dict[str, tuple[str, str]] = {
+    "id": ("solid", "I"),
+    "alpha_dn": ("solid", "-"),
+    "alpha_up": ("solid", "+"),
+    "neg_q2n2": ("solid", "u+"),
+    "q2n2": ("solid", "u-"),
+    "q2n": ("solid", "d+"),
+    "neg_q2n": ("solid", "d-"),
+    "alpha2_dn": ("solid", "--"),
+    "alpha2_up": ("solid", "++"),
+    "mid": ("dashed", "m"),
+    "beta_dn_lo": ("dotted", "b"),
+    "beta_dn_hi": ("dashed", "b'"),
+    "beta_up_lo": ("bold", "b*"),
+    "beta_up_hi": ("bold", "b*'"),
+    "q2n2_block": ("dotted", "w"),
+    "q2n_block": ("solid", "d"),
+}
 
 
 @dataclass(frozen=True)
@@ -86,19 +51,16 @@ class EdgePrimitive:
     scalar: complex = 1.0 + 0j
 
     def realize(self) -> WeightedShiftSum | complex:
-        _init_primitives()
         if self.tag == "torus":
             return self.scalar
-        if self.tag not in _PRIMITIVES:
+        if self.tag not in repsoq.EDGE_OPERATORS:
             raise ValueError(f"unknown edge tag {self.tag!r}")
-        return _PRIMITIVES[self.tag][0]()
+        return repsoq.EDGE_OPERATORS[self.tag]
 
     def dot_attrs(self) -> tuple[str, str]:
-        _init_primitives()
         if self.tag == "torus":
             return "solid", f"t={self.scalar:.3g}"
-        _, style, label = _PRIMITIVES[self.tag]
-        return style, label
+        return _DOT_ATTRS[self.tag]
 
 
 @dataclass(frozen=True)
@@ -120,7 +82,6 @@ class DiagramLayer:
 def layer(kind, n: int) -> DiagramLayer:
     """Build a layer; kind is ("elementary", i) or ("torus", t)."""
     tag, data = kind
-    size = 2 * n + 1
     edges: list[tuple[int, int, EdgePrimitive]] = []
     if tag == "torus":
         for a, c in enumerate(repsoq.torus_scalars(tuple(data), n), start=1):
@@ -128,35 +89,9 @@ def layer(kind, n: int) -> DiagramLayer:
         return DiagramLayer(n, "torus", tuple(edges))
     if tag != "elementary":
         raise ValueError(f"unknown layer kind {tag!r}")
-    i = data
-    if not 1 <= i <= n:
-        raise ValueError(f"reflection index {i} out of range 1..{n}")
-    if i < n:
-        lo, hi = i, 2 * n - i + 1
-        active = {lo, lo + 1, hi, hi + 1}
-        edges += [(lo, lo, EdgePrimitive("alpha_dn")),
-                  (lo, lo + 1, EdgePrimitive("neg_q2n2")),
-                  (lo + 1, lo, EdgePrimitive("q2n")),
-                  (lo + 1, lo + 1, EdgePrimitive("alpha_up")),
-                  (hi, hi, EdgePrimitive("alpha_dn")),
-                  (hi, hi + 1, EdgePrimitive("q2n2")),
-                  (hi + 1, hi, EdgePrimitive("neg_q2n")),
-                  (hi + 1, hi + 1, EdgePrimitive("alpha_up"))]
-    else:
-        active = {n, n + 1, n + 2}
-        edges += [(n, n, EdgePrimitive("alpha2_dn")),
-                  (n, n + 1, EdgePrimitive("beta_dn_hi")),
-                  (n, n + 2, EdgePrimitive("q2n2_block")),
-                  (n + 1, n, EdgePrimitive("beta_dn_lo")),
-                  (n + 1, n + 1, EdgePrimitive("mid")),
-                  (n + 1, n + 2, EdgePrimitive("beta_up_hi")),
-                  (n + 2, n, EdgePrimitive("q2n_block")),
-                  (n + 2, n + 1, EdgePrimitive("beta_up_lo")),
-                  (n + 2, n + 2, EdgePrimitive("alpha2_up"))]
-    for a in range(1, size + 1):
-        if a not in active:
-            edges.append((a, a, EdgePrimitive("id")))
-    edges.sort(key=lambda e: (e[0], e[1]))
+    edges = sorted(((k, l, EdgePrimitive(edge_tag))
+                    for k, l, edge_tag in repsoq.elementary_layout(data, n)),
+                   key=lambda e: (e[0], e[1]))
     return DiagramLayer(n, "elementary", tuple(edges))
 
 

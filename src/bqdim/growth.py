@@ -18,7 +18,6 @@ through the embedding maps.  Upper bounds come from the window-size count
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import diagrams, qoperators as qo, repsoq, weylb
@@ -148,15 +147,8 @@ def homogeneous_generating_set(eta: GeneratorImageTable, n: int, m: int
     return GeneratingSet("homogeneous", ops)
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def module_growth(spec: RepSpec, r_max: int, q: float,
-                  basis_cap: int = 20000, threads: int = 1) -> GrowthSeries:
+                  basis_cap: int = 20000) -> GrowthSeries:
     """Dimension series of span{words of length <= r applied to the vacuum}."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
@@ -169,11 +161,8 @@ def module_growth(spec: RepSpec, r_max: int, q: float,
     frontier = [vac]
     values = [(0, len(ech))]
     for r in range(1, r_max + 1):
-        jobs = [(g, v) for v in frontier for g in gens]
-        results = _map_ordered(
-            lambda gv: qo.apply_operator(gv[0], gv[1], q), jobs, threads)
         new_frontier = []
-        for out in results:
+        for out in (qo.apply_operator(g, v, q) for v in frontier for g in gens):
             if not out.entries:
                 continue
             if ech.add(dict(out.entries)) is not None:
@@ -216,19 +205,6 @@ def exponent_estimate(series: GrowthSeries) -> dict:
 
 
 SHIFT_EXPONENT_BOUND = 2   # no table entry moves one slot index by more
-
-
-def upper_bound_check(length_w: int, series: GrowthSeries) -> dict:
-    """d(r) <= (M r + 1)^length with M the maximal per-step index move."""
-    M = SHIFT_EXPONENT_BOUND
-    rows = []
-    ok = True
-    for r, d in series.values:
-        bound = (M * r + 1) ** length_w
-        rows.append({"r": r, "d": d, "bound": bound})
-        if d > bound:
-            ok = False
-    return {"ok": ok, "M": M, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +267,6 @@ def witness_families(w: SignedPermutation, table_entry, n: int
                                   [(n + i + 1, lam(c + shift)) for c in cols]))
         offset += r
     return fams
-
-
-def witness_last_part(w: SignedPermutation, n: int) -> WitnessFamily:
-    """The raising family of the final part (depth n)."""
-    part_words = weylb.parts(w)
-    if not part_words[n - 1]:
-        raise ValueError("final part of the word is empty")
-    table = repsoq.rep_table(RepSpec(n, weylb.normal_form(w).word()))
-    fams = witness_families(w, table.entry, n)
-    return fams[-1]
-
-
-def embedded_operators(w: SignedPermutation, i: int, n: int
-                       ) -> list[TensorOperator]:
-    """The 2i+1 operators acting as the depth-i row images on vacuum tails."""
-    if not 1 <= i <= n:
-        raise ValueError("part index out of range")
-    table = repsoq.rep_table(RepSpec(n, weylb.normal_form(w).word()))
-    lam = diagrams.embedding_chain(w, i)
-    shift = n - i
-    return [table.entry(n + i + 1, lam(j + shift)) for j in range(1, 2 * i + 2)]
 
 
 def witness_chain(w: SignedPermutation, n: int) -> list[WitnessFamily]:
@@ -464,7 +419,7 @@ class GrowthCertificate:
 
 
 def module_certificate(spec: RepSpec, r_max: int, q: float,
-                       basis_cap: int = 20000, threads: int = 1,
+                       basis_cap: int = 20000,
                        witness_budget: int = 4) -> tuple[GrowthSeries, GrowthCertificate]:
     """Sandwich certificate for the module growth of one element.
 
@@ -477,8 +432,7 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     if lw != len(spec.word):
         raise ValueError("word is not reduced; certificate needs a reduced word")
     canonical = RepSpec(n, weylb.normal_form(w).word(), spec.t)
-    series = module_growth(canonical, r_max, q, basis_cap=basis_cap,
-                           threads=threads)
+    series = module_growth(canonical, r_max, q, basis_cap=basis_cap)
     series.context["input_word"] = list(spec.word)
     wit = verify_witness_chain(w, n, q, budget=witness_budget) if lw else {"ok": True}
     d = dict(series.values)
@@ -564,8 +518,7 @@ def homogeneous_witnesses(n: int, m: int, w: SignedPermutation, q: float
         # locate the diagonal column of the depth-i row: the unique column
         # whose rank-i image is a pure diagonal
         rank_word = tuple(letter - shift for pw in part_words[:i] for letter in pw)
-        rank_table = repsoq.rep_table(RepSpec(i, rank_word)) if rank_word else \
-            repsoq.rep_table(RepSpec(i, ()))
+        rank_table = repsoq.rep_table(RepSpec(i, rank_word))
         diag_cols = []
         for l in range(1, 2 * i + 2):
             op = rank_table.entry(2 * i + 1, l)
@@ -682,9 +635,6 @@ def verify_homogeneous_witnesses(n: int, m: int, w: SignedPermutation,
 # algebra growth by exact structural fingerprints
 # ---------------------------------------------------------------------------
 
-monomial_fingerprint = qo.monomial_decomposition
-
-
 def _probe_rank_series(gens: list[TensorOperator], signature: tuple[str, ...],
                        r_max: int, q: float, cutoff: int,
                        basis_cap: int) -> list[tuple[int, int]]:
@@ -721,8 +671,8 @@ def _probe_rank_series(gens: list[TensorOperator], signature: tuple[str, ...],
 
 
 def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
-                   probe_cutoff: int = 4, basis_cap: int = 20000,
-                   threads: int = 1) -> GrowthSeries:
+                   probe_cutoff: int = 4, basis_cap: int = 20000
+                   ) -> GrowthSeries:
     """Rank series of the span of operator words of length <= r.
 
     The rank is computed exactly from the structural monomial expansion of
@@ -735,16 +685,13 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
 
     ech = Echelon()
     ident = qo.identity_operator(eta.signature)
-    ech.add(monomial_fingerprint(ident, q))
+    ech.add(qo.monomial_decomposition(ident, q))
     frontier = [ident]
     values = [(0, len(ech))]
     for r in range(1, r_max + 1):
-        jobs = [(g, word) for word in frontier for g in gens]
-        results = _map_ordered(lambda gw: qo.compose(gw[0], gw[1]), jobs,
-                               threads)
         new_frontier = []
-        for cand in results:
-            fp = monomial_fingerprint(cand, q)
+        for cand in (qo.compose(g, word) for word in frontier for g in gens):
+            fp = qo.monomial_decomposition(cand, q)
             if not fp:
                 continue
             if ech.add(fp) is not None:
@@ -788,7 +735,7 @@ def algebra_container_bound(n: int, m: int, w: SignedPermutation, r: int) -> int
 
 def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
                             probe_cutoff: int = 4, basis_cap: int = 20000,
-                            threads: int = 1, witness_budget: int = 4
+                            witness_budget: int = 4
                             ) -> tuple[GrowthSeries, GrowthCertificate]:
     """Witness/rank certificate for the homogeneous-space growth.
 
@@ -813,7 +760,7 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     A = 2 if any(f["h"] for f in families) else 1
 
     series = algebra_growth(n, m, w, r_max, q, probe_cutoff=probe_cutoff,
-                            basis_cap=basis_cap, threads=threads)
+                            basis_cap=basis_cap)
     d = dict(series.values)
 
     rows = []
@@ -825,7 +772,7 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
         # their structural rank lower-bounds the span of words of that length
         for pattern in _homogeneous_patterns(families, r):
             word_op = _pattern_word_operator(families, pattern, eta_sig)
-            fp = monomial_fingerprint(word_op, q)
+            fp = qo.monomial_decomposition(word_op, q)
             if fp and ech.add(fp) is not None:
                 count += 1
         needed = math.ceil(math.comb(r + target - 1, r) / 2)

@@ -182,9 +182,8 @@ class WeightedShiftSum:
             else:
                 merged[key] = (d, c)
         total = sum(abs(c.const) for _, c in merged.values()) or 1.0
-        kept = [(d, c) for d, c in merged.values()
+        kept = [(d, c) for _, (d, c) in sorted(merged.items())
                 if abs(c.const) > _MERGE_TOL * total]
-        kept.sort(key=lambda t: (t[0], t[1].structure_key()))
         return WeightedShiftSum(self.space, tuple(kept))
 
     def is_zero(self) -> bool:
@@ -300,13 +299,14 @@ class TensorOperator:
     summands: tuple[tuple[complex, tuple[WeightedShiftSum, ...]], ...] = ()
 
     def canonical(self) -> "TensorOperator":
+        """Merge equal summands; the factors must already be canonical, as
+        every WeightedShiftSum method and elementary_tensor returns them."""
         collected: dict[tuple, tuple[complex, tuple[WeightedShiftSum, ...]]] = {}
         for scalar, factors in self.summands:
             if len(factors) != len(self.signature):
                 raise ValueError("factor count does not match signature")
             norm_factors = []
             for f in factors:
-                f = f.canonical()
                 if f.is_zero():
                     scalar = 0.0
                     break
@@ -319,14 +319,11 @@ class TensorOperator:
                 continue
             key = tuple(f.key() for f in norm_factors)
             if key in collected:
-                prev_scalar, _ = collected[key]
-                collected[key] = (prev_scalar + scalar, tuple(norm_factors))
-            else:
-                collected[key] = (scalar, tuple(norm_factors))
+                scalar += collected[key][0]
+            collected[key] = (scalar, tuple(norm_factors))
         total = sum(abs(s) for s, _ in collected.values()) or 1.0
-        kept = [(s, f) for s, f in collected.values()
+        kept = [(s, fs) for _, (s, fs) in sorted(collected.items())
                 if abs(s) > _MERGE_TOL * total]
-        kept.sort(key=lambda sf: tuple(f.key() for f in sf[1]))
         return TensorOperator(self.signature, tuple(kept))
 
     def is_zero(self) -> bool:
@@ -374,7 +371,8 @@ def scalar_operator(signature: Iterable[str], z: complex) -> TensorOperator:
 
 def elementary_tensor(factors: Iterable[WeightedShiftSum],
                       scalar: complex = 1.0) -> TensorOperator:
-    fs = tuple(factors)
+    """Canonical scalar * (f_1 (x) ... (x) f_m) of arbitrary factors."""
+    fs = tuple(f.canonical() for f in factors)
     return TensorOperator(tuple(f.space for f in fs),
                           ((complex(scalar), fs),)).canonical()
 
@@ -390,8 +388,11 @@ def add(*ops: TensorOperator) -> TensorOperator:
 
 
 def scale(z: complex, op: TensorOperator) -> TensorOperator:
+    """z * op; a nonzero multiple of a canonical operator is canonical."""
+    if z == 0:
+        return zero_operator(op.signature)
     return TensorOperator(op.signature,
-                          tuple((s * z, fs) for s, fs in op.summands)).canonical()
+                          tuple((s * z, fs) for s, fs in op.summands))
 
 
 def tensor(a: TensorOperator, b: TensorOperator) -> TensorOperator:
@@ -428,9 +429,6 @@ class SparseVector:
 
     signature: tuple[str, ...]
     entries: dict[tuple[int, ...], complex] = field(default_factory=dict)
-
-    def copy(self) -> "SparseVector":
-        return SparseVector(self.signature, dict(self.entries))
 
     def norm_inf(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)

@@ -74,7 +74,7 @@ class GeneratorImageTable:
         return [(l, op) for (kk, l), op in sorted(self.images.items()) if kk == k]
 
     def set(self, k: int, l: int, op: TensorOperator) -> None:
-        op = op.canonical()
+        """Store a canonical operator; the zero operator is left out."""
         if not op.is_zero():
             self.images[(k, l)] = op
 
@@ -83,40 +83,43 @@ class GeneratorImageTable:
 # elementary and torus tables
 # ---------------------------------------------------------------------------
 
-def _lower_block_entries() -> dict[str, WeightedShiftSum]:
-    """Operators of the rank-one doubled-parameter pattern (letters i < n)."""
-    return {
-        "alpha_dn": qo.product(qo.sqrt_radical(4, 4), qo.shift_down()),
-        "alpha_up": qo.product(qo.shift_up(), qo.sqrt_radical(4, 4)),
-        "q2n": qo.q_power(2, 0),
-        "q2n2": qo.q_power(2, 2),
-    }
-
-
-def _middle_block_entries() -> dict[str, WeightedShiftSum]:
-    """Operators of the central three-node block (letter i = n)."""
+def _edge_operators() -> dict[str, WeightedShiftSum]:
+    """Operator of every edge tag of the elementary tables."""
+    q2n, q2n2 = qo.q_power(2, 0), qo.q_power(2, 2)
+    rad44, rad22, rad24 = (qo.sqrt_radical(4, 4), qo.sqrt_radical(2, 2),
+                           qo.sqrt_radical(2, 4))
     sq = qo.sqrt_one_plus_q2(1)
-    rad = qo.sqrt_radical(2, 2)
+    dn, up = qo.shift_down(), qo.shift_up()
     return {
-        "alpha2_dn": qo.product(qo.sqrt_radical(2, 2), qo.sqrt_radical(2, 4),
-                                qo.shift_down(), qo.shift_down()),
-        "alpha2_up": qo.product(qo.shift_up(), qo.shift_up(),
-                                qo.sqrt_radical(2, 4), qo.sqrt_radical(2, 2)),
+        "id": qo.identity_shift(),
+        # lower blocks (letters i < n)
+        "alpha_dn": qo.product(rad44, dn),
+        "alpha_up": qo.product(up, rad44),
+        "q2n": q2n,
+        "neg_q2n": q2n.scaled(-1),
+        "q2n2": q2n2,
+        "neg_q2n2": q2n2.scaled(-1),
+        # central three-node block (letter i = n); its corners reuse q2n2
+        # and q2n under their own tags, because diagrams draws them
+        # differently
+        "alpha2_dn": qo.product(rad22, rad24, dn, dn),
+        "alpha2_up": qo.product(up, up, rad24, rad22),
         "mid": qo.identity_shift().add(
-            qo.product(qo.sqrt_one_plus_q2(2), qo.q_power(2, 0)).scaled(-1)),
-        "beta_dn_lo": qo.product(qo.q_power(1, 0), sq, rad, qo.shift_down()),
-        "beta_dn_hi": qo.product(qo.q_power(1, 1), sq, rad,
-                                 qo.shift_down()).scaled(-1),
-        "beta_up_lo": qo.product(qo.shift_up(), sq, rad, qo.q_power(1, 0)),
-        "beta_up_hi": qo.product(qo.shift_up(), sq, rad,
-                                 qo.q_power(1, 1)).scaled(-1),
-        "q2n": qo.q_power(2, 0),
-        "q2n2": qo.q_power(2, 2),
+            qo.product(qo.sqrt_one_plus_q2(2), q2n).scaled(-1)),
+        "beta_dn_lo": qo.product(qo.q_power(1, 0), sq, rad22, dn),
+        "beta_dn_hi": qo.product(qo.q_power(1, 1), sq, rad22, dn).scaled(-1),
+        "beta_up_lo": qo.product(up, sq, rad22, qo.q_power(1, 0)),
+        "beta_up_hi": qo.product(up, sq, rad22, qo.q_power(1, 1)).scaled(-1),
+        "q2n2_block": q2n2,
+        "q2n_block": q2n,
     }
 
 
-def elementary_table(i: int, n: int) -> GeneratorImageTable:
-    """Image table of the representation attached to the i-th reflection.
+EDGE_OPERATORS: dict[str, WeightedShiftSum] = _edge_operators()
+
+
+def elementary_layout(i: int, n: int) -> list[tuple[int, int, str]]:
+    """(k, l, edge tag) of every nonzero entry of the i-th elementary table.
 
     The two off-diagonal entries of the middle block that raise the node
     index carry a minus sign; this is the sign choice under which the
@@ -124,40 +127,28 @@ def elementary_table(i: int, n: int) -> GeneratorImageTable:
     """
     if not 1 <= i <= n:
         raise ValueError(f"reflection index {i} out of range 1..{n}")
-    size = 2 * n + 1
-    table = GeneratorImageTable(n, ("N",))
-    one = [qo.identity_shift()]
-
-    def put(k, l, wss, sign=1):
-        table.set(k, l, qo.elementary_tensor([wss], scalar=sign))
-
     if i < n:
-        ops = _lower_block_entries()
         lo, hi = i, 2 * n - i + 1
-        active = {lo, lo + 1, hi, hi + 1}
-        put(lo, lo, ops["alpha_dn"])
-        put(lo, lo + 1, ops["q2n2"], -1)
-        put(lo + 1, lo, ops["q2n"])
-        put(lo + 1, lo + 1, ops["alpha_up"])
-        put(hi, hi, ops["alpha_dn"])
-        put(hi, hi + 1, ops["q2n2"])
-        put(hi + 1, hi, ops["q2n"], -1)
-        put(hi + 1, hi + 1, ops["alpha_up"])
+        block = [(lo, lo, "alpha_dn"), (lo, lo + 1, "neg_q2n2"),
+                 (lo + 1, lo, "q2n"), (lo + 1, lo + 1, "alpha_up"),
+                 (hi, hi, "alpha_dn"), (hi, hi + 1, "q2n2"),
+                 (hi + 1, hi, "neg_q2n"), (hi + 1, hi + 1, "alpha_up")]
     else:
-        ops = _middle_block_entries()
-        active = {n, n + 1, n + 2}
-        put(n, n, ops["alpha2_dn"])
-        put(n, n + 1, ops["beta_dn_hi"])
-        put(n, n + 2, ops["q2n2"])
-        put(n + 1, n, ops["beta_dn_lo"])
-        put(n + 1, n + 1, ops["mid"])
-        put(n + 1, n + 2, ops["beta_up_hi"])
-        put(n + 2, n, ops["q2n"])
-        put(n + 2, n + 1, ops["beta_up_lo"])
-        put(n + 2, n + 2, ops["alpha2_up"])
-    for k in range(1, size + 1):
-        if k not in active:
-            table.set(k, k, qo.elementary_tensor(one))
+        block = [(n, n, "alpha2_dn"), (n, n + 1, "beta_dn_hi"),
+                 (n, n + 2, "q2n2_block"), (n + 1, n, "beta_dn_lo"),
+                 (n + 1, n + 1, "mid"), (n + 1, n + 2, "beta_up_hi"),
+                 (n + 2, n, "q2n_block"), (n + 2, n + 1, "beta_up_lo"),
+                 (n + 2, n + 2, "alpha2_up")]
+    active = {k for k, _, _ in block}
+    return block + [(k, k, "id") for k in range(1, 2 * n + 2)
+                    if k not in active]
+
+
+def elementary_table(i: int, n: int) -> GeneratorImageTable:
+    """Image table of the representation attached to the i-th reflection."""
+    table = GeneratorImageTable(n, ("N",))
+    for k, l, tag in elementary_layout(i, n):
+        table.set(k, l, qo.elementary_tensor([EDGE_OPERATORS[tag]]))
     return table
 
 

@@ -129,13 +129,6 @@ def length(w: SignedPermutation) -> int:
                if not _image_is_positive(w, root))
 
 
-def simple_root_index_positive(w: SignedPermutation, i: int) -> bool:
-    """True iff w(alpha_i) is a positive root."""
-    n = w.n
-    root = ("d", i, i + 1) if i < n else ("s", n)
-    return _image_is_positive(w, root)
-
-
 def longest_element(n: int) -> SignedPermutation:
     _check_rank(n)
     return SignedPermutation(tuple(-i for i in range(1, n + 1)))

@@ -54,11 +54,10 @@ def test_module_growth_single_low_letter():
 
 
 def test_module_growth_monotone_and_bounded():
-    series = growth.module_growth(RepSpec(2, (1, 2)), 6, Q)
+    series, cert = growth.module_certificate(RepSpec(2, (1, 2)), 6, Q)
     dims = series.dims()
     assert all(a <= b for a, b in zip(dims, dims[1:]))
-    check = growth.upper_bound_check(2, series)
-    assert check["ok"]
+    assert all(row["d"] <= row["upper"] for row in cert.rows)
 
 
 def test_module_growth_budget():
@@ -88,28 +87,25 @@ def test_exponent_estimate_synthetic():
 
 
 def test_upper_bound_check_rows():
-    series = growth.module_growth(RepSpec(2, (2,)), 4, Q)
-    chk = growth.upper_bound_check(1, series)
-    assert chk["M"] == 2
-    assert chk["rows"][3]["bound"] == 7
-    assert chk["ok"]
+    _, cert = growth.module_certificate(RepSpec(2, (2,)), 4, Q)
+    assert [row["upper"] for row in cert.rows] == [2 * r + 1 for r in range(5)]
+    assert cert.rows[3]["upper"] == 7
+    assert all(row["d"] <= row["upper"] for row in cert.rows)
 
 
 def test_witness_last_part_single_letters():
     # depth-two raising family of the one-letter element
-    fam = growth.witness_last_part(weylb.from_word((1,), 2), 2)
+    fam = growth.witness_chain(weylb.from_word((1,), 2), 2)[-1]
     assert len(fam.operators) == 1
     vec = qo.vacuum(("N",))
     for z in range(1, 4):
         vec_z = growth._apply_power(fam.operators[0], qo.vacuum(("N",)), z, Q)
         assert set(vec_z.entries) == {(z,)}
-    with pytest.raises(ValueError):
-        growth.witness_last_part(weylb.from_word((2,), 2), 2)  # empty last part
 
 
 def test_witness_case_split_with_middle_letter():
     # the one-letter rank-one element needs the single-raising column
-    fam = growth.witness_last_part(weylb.from_word((1,), 1), 1)
+    fam = growth.witness_chain(weylb.from_word((1,), 1), 1)[-1]
     assert fam.columns == [(3, 2)]
     vec = growth._apply_power(fam.operators[0], qo.vacuum(("N",)), 3, Q)
     assert set(vec.entries) == {(3,)}
@@ -118,7 +114,7 @@ def test_witness_case_split_with_middle_letter():
 def test_witness_long_part_permutation():
     # length-3 part at rank 2: reversal permutation on the middle range
     w = weylb.from_word((1, 2, 1), 2)
-    fam = growth.witness_last_part(w, 2)
+    fam = growth.witness_chain(w, 2)[-1]
     assert fam.sigma == [3, 2, 1]
     assert [c for c, _ in fam.columns] == [5, 5, 5]
 
@@ -156,13 +152,13 @@ def test_witness_chain_rank_three_sweep():
 
 def test_embedded_operators_act_on_own_part():
     w = weylb.from_word((2, 1, 2), 2)
-    ops = growth.embedded_operators(w, 1, 2)
-    assert len(ops) == 3
-    # on vacuum tails the middle operator acts inside the first part only
+    # on vacuum tails the depth-one raising operator acts inside the first
+    # part only
+    op = growth.witness_chain(w, 2)[0].operators[0]
     sig = ("N", "N", "N")
     for a in range(3):
         probe = qo.basis_vector(sig, (a, 0, 0))
-        out = qo.apply_operator(ops[1], probe, Q)
+        out = qo.apply_operator(op, probe, Q)
         for key in out.entries:
             assert key[1:] == (0, 0)
 
@@ -255,7 +251,7 @@ def test_homogeneous_witness_independence_fingerprints():
     for total in range(4):
         for pattern in growth._homogeneous_patterns(fams, total):
             op = growth._pattern_word_operator(fams, pattern, eta.signature)
-            fp = growth.monomial_fingerprint(op, Q)
+            fp = qo.monomial_decomposition(op, Q)
             if fp and ech.add(fp) is not None:
                 added += 1
     # distinct patterns are linearly independent operator words
