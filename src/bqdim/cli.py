@@ -74,9 +74,6 @@ def _parse_torus(text: str | None, n: int) -> tuple[complex, ...] | None:
             raise UsageError(f"malformed torus entry {tok!r}: {exc}") from None
     if len(entries) != n:
         raise UsageError(f"torus point needs {n} entries, got {len(entries)}")
-    for z in entries:
-        if abs(abs(z) - 1.0) > 1e-12:
-            raise UsageError(f"torus entry {z} is not unit modulus")
     return tuple(entries)
 
 

@@ -1,17 +1,20 @@
 """Span-growth engine and growth certificates.
 
-Module growth iterates a frontier: every generator image is applied to the
-newest basis vectors of the span of words applied to the vacuum, and the
-results are rank-reduced by sparse Gaussian elimination with a canonical
-pivot order.  Algebra growth runs the same frontier over operator words
-kept in closed symbolic form; their rank is exact because each word
-expands over structurally independent monomials.  An action-window rank
-at a configurable probe cutoff is recorded alongside as a lower-bound
-cross-check.
+One span engine computes every series.  It iterates a frontier: every
+generator acts on the newest basis elements of the span of words applied
+to a start element, and the fingerprints of the results are rank-reduced
+by sparse Gaussian elimination with a canonical pivot order.  Module growth
+runs it on vectors, from the vacuum.  Algebra growth runs it on operator
+words kept in closed symbolic form; their rank is exact because each word
+expands over structurally independent monomials.  It runs once more on the
+action of the words on a window of probe vectors, whose rank is recorded
+alongside as a lower-bound cross-check.
 
-Lower bounds are certified by explicit witness words: single generator
-images that raise one tensor slot at a time, recovered part by part
-through the embedding maps.  Upper bounds come from the window-size count
+Lower bounds are certified by explicit witness words, checked in one pass
+over exponent patterns: single generator images that raise one tensor slot
+at a time, recovered part by part through the embedding maps.  The
+patterns of total <= r reach binom(r + l, l) distinct basis vectors with
+words of length <= r.  Upper bounds come from the window-size count
 (module case) and a per-slot container count (algebra case).
 """
 
@@ -107,44 +110,50 @@ class GrowthSeries:
         return [d for _, d in self.values]
 
 
-@dataclass
-class GeneratingSet:
-    """Named generators of a span computation; always contains the unit."""
+def _span_series(start, gens: list[TensorOperator], act, fingerprint,
+                 r_max: int, basis_cap: int, context: dict) -> GrowthSeries:
+    """Rank series of the span of act-words of length <= r applied to start.
 
-    kind: str                       # "module" or "homogeneous"
-    operators: list[tuple[str, TensorOperator]]
+    Every generator acts (act(g, x)) on each element of the frontier; a
+    result whose fingerprint is nonzero and independent of the span so far
+    joins the next frontier.  Past basis_cap the series up to the previous
+    step rides on the BudgetExceeded error.
+    """
+    ech = Echelon()
+    ech.add(fingerprint(start))
+    frontier = [start]
+    values = [(0, len(ech))]
+    for r in range(1, r_max + 1):
+        new_frontier = []
+        for out in (act(g, x) for x in frontier for g in gens):
+            fp = fingerprint(out)
+            if fp and ech.add(fp) is not None:
+                new_frontier.append(out)
+                if len(ech) > basis_cap:
+                    raise BudgetExceeded(
+                        f"basis size exceeded {basis_cap} at step {r}",
+                        GrowthSeries(context, values,
+                                     [f"budget exceeded at step {r}"]))
+        frontier = new_frontier
+        values.append((r, len(ech)))
+    return GrowthSeries(context, values)
 
-    def __post_init__(self):
-        if self.kind not in ("module", "homogeneous"):
-            raise ValueError(f"unknown generating-set kind {self.kind!r}")
-        if not any(name == "1" for name, _ in self.operators):
-            raise ValueError("generating set must contain the unit")
 
-    def nontrivial(self) -> list[TensorOperator]:
-        return [op for name, op in self.operators if name != "1"]
+def module_generators(table: GeneratorImageTable) -> list[TensorOperator]:
+    """All nonzero generator images, in (row, column) order."""
+    return [op for _, op in sorted(table.images.items())]
 
 
-def module_generating_set(table: GeneratorImageTable) -> GeneratingSet:
-    """All nonzero generator images plus the unit."""
-    ops: list[tuple[str, TensorOperator]] = [
-        ("1", qo.identity_operator(table.signature))]
-    for (k, l), op in sorted(table.images.items()):
-        ops.append((f"v[{k},{l}]", op))
-    return GeneratingSet("module", ops)
-
-
-def homogeneous_generating_set(eta: GeneratorImageTable, n: int, m: int
-                               ) -> GeneratingSet:
-    """Images of the restricted row set and their involutes, plus the unit."""
+def homogeneous_generators(eta: GeneratorImageTable, n: int, m: int
+                           ) -> list[TensorOperator]:
+    """Images of the restricted row set, each followed by its involute."""
     rows = set(zeta_rows(n, m))
-    ops: list[tuple[str, TensorOperator]] = [
-        ("1", qo.identity_operator(eta.signature))]
+    gens = []
     for (k, l), op in sorted(eta.images.items()):
         if k not in rows:
             raise ValueError(f"row {k} is outside the restricted row set")
-        ops.append((f"v[{k},{l}]", op))
-        ops.append((f"v[{k},{l}]*", qo.adjoint(op)))
-    return GeneratingSet("homogeneous", ops)
+        gens += [op, qo.adjoint(op)]
+    return gens
 
 
 def module_growth(spec: RepSpec, r_max: int, q: float,
@@ -153,32 +162,11 @@ def module_growth(spec: RepSpec, r_max: int, q: float,
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     table = repsoq.rep_table(spec)
-    gens = module_generating_set(table).nontrivial()
-    sig = table.signature
-    ech = Echelon()
-    vac = qo.vacuum(sig)
-    ech.add(dict(vac.entries))
-    frontier = [vac]
-    values = [(0, len(ech))]
-    for r in range(1, r_max + 1):
-        new_frontier = []
-        for out in (qo.apply_operator(g, v, q) for v in frontier for g in gens):
-            if not out.entries:
-                continue
-            if ech.add(dict(out.entries)) is not None:
-                new_frontier.append(out)
-                if len(ech) > basis_cap:
-                    partial = GrowthSeries(
+    return _span_series(qo.vacuum(table.signature), module_generators(table),
+                        lambda g, v: qo.apply_operator(g, v, q),
+                        lambda v: v.entries, r_max, basis_cap,
                         {"kind": "module", "n": spec.n,
-                         "word": list(spec.word)},
-                        values, [f"budget exceeded at step {r}"])
-                    raise BudgetExceeded(
-                        f"basis size exceeded {basis_cap} at step {r}",
-                        partial)
-        frontier = new_frontier
-        values.append((r, len(ech)))
-    return GrowthSeries({"kind": "module", "n": spec.n, "word": list(spec.word)},
-                        values)
+                         "word": list(spec.word)})
 
 
 def exponent_estimate(series: GrowthSeries) -> dict:
@@ -215,17 +203,15 @@ SHIFT_EXPONENT_BOUND = 2   # no table entry moves one slot index by more
 class WitnessFamily:
     """Single-generator raising words for one part of the factorised word.
 
-    operators[j-1] raises slot sigma(j) of the part when applied to vectors
-    whose later slots of the part still hold the vacuum; applying in the
-    order j = r, r-1, ..., 1 steers the part to an arbitrary lattice point.
+    operators[j-1] (the image at columns[j-1]) raises slot sigma(j) of the
+    part when applied to vectors whose later slots of the part still hold
+    the vacuum; applying in the order j = r, r-1, ..., 1 steers the part to
+    an arbitrary lattice point.
     """
 
-    part_index: int
-    slot_offset: int
     operators: list[TensorOperator]
     sigma: list[int]
     columns: list[tuple[int, int]]
-    degree: int = 1
 
 
 def _part_witness_columns(r: int, i: int) -> tuple[list[int], list[int]]:
@@ -242,77 +228,77 @@ def _part_witness_columns(r: int, i: int) -> tuple[list[int], list[int]]:
     return cols, sigma
 
 
-def witness_families(w: SignedPermutation, table_entry, n: int
-                     ) -> list[WitnessFamily]:
-    """Raising families for every nonempty part of w.
+def witness_chain(w: SignedPermutation, n: int) -> list[WitnessFamily]:
+    """Raising families for all nonempty parts of w, on the word table.
 
-    table_entry(row, col) must return the image operator of the ambient
-    representation; for a plain module this is the word table, for the
-    homogeneous realisation the eta table.  The depth-i family uses row
-    n+i+1 and the embedding-map relabeling of the depth-i columns.
+    The depth-i family uses row n+i+1 and the embedding-map relabeling of
+    the depth-i columns.
     """
-    part_words = weylb.parts(w)
+    table = repsoq.rep_table(RepSpec(n, weylb.normal_form(w).word()))
     fams = []
-    offset = 0
-    for i in range(1, n + 1):
-        r = len(part_words[i - 1])
-        if r == 0:
+    for i, part in enumerate(weylb.parts(w), start=1):
+        if not part:
             continue
-        cols, sigma = _part_witness_columns(r, i)
+        cols, sigma = _part_witness_columns(len(part), i)
         lam = diagrams.embedding_chain(w, i)
-        shift = n - i
-        ops = [table_entry(n + i + 1, lam(c + shift)) for c in cols]
-        fams.append(WitnessFamily(i, offset,
-                                  ops, sigma,
-                                  [(n + i + 1, lam(c + shift)) for c in cols]))
-        offset += r
+        columns = [(n + i + 1, lam(c + n - i)) for c in cols]
+        fams.append(WitnessFamily([table.entry(k, l) for k, l in columns],
+                                  sigma, columns))
     return fams
 
 
-def witness_chain(w: SignedPermutation, n: int) -> list[WitnessFamily]:
-    """Raising families for all nonempty parts of w, on the word table."""
-    table = repsoq.rep_table(RepSpec(n, weylb.normal_form(w).word()))
-    return witness_families(w, table.entry, n)
-
-
-def _apply_power(op: TensorOperator, vec: SparseVector, power: int,
-                 q: float) -> SparseVector:
-    for _ in range(power):
-        vec = qo.apply_operator(op, vec, q)
-    return vec
-
-
-def apply_witness_pattern(families: list[WitnessFamily],
-                          exponents: list[list[int]], start: SparseVector,
-                          q: float) -> SparseVector:
-    """Apply the family products for the given per-part exponent lists.
-
-    Parts act in ascending order; inside a part the operators act in
-    descending index order, operator j repeated exponents[sigma(j)] times.
-    """
-    vec = start
-    for fam, exps in zip(families, exponents):
-        if len(exps) != len(fam.operators):
-            raise ValueError("exponent count does not match family size")
-        for j in range(len(fam.operators), 0, -1):
-            vec = _apply_power(fam.operators[j - 1], vec,
-                               exps[fam.sigma[j - 1] - 1], q)
-    return vec
+def _compositions(slots: int, total: int):
+    """All tuples of `slots` naturals with the given sum, lexicographic."""
+    if slots <= 1:
+        if slots == 1 or total == 0:
+            yield (total,) * slots
+        return
+    for v in range(total + 1):
+        for rest in _compositions(slots - 1, total - v):
+            yield (v,) + rest
 
 
 def _single_support(vec: SparseVector, tol: float = 1e-8
-                    ) -> tuple[tuple[int, ...] | None, complex]:
-    """Support of a vector that should be one basis vector up to noise.
+                    ) -> tuple[int, ...] | None:
+    """The one basis index a vector is concentrated on up to noise, or None.
 
     The concentration test is relative: witness amplitudes are products of
     many q-power weights and can be very small while exactly nonzero."""
     if not vec.entries:
-        return None, 0j
+        return None
     key, amp = max(vec.entries.items(), key=lambda kv: abs(kv[1]))
     mass = sum(abs(v) ** 2 for v in vec.entries.values())
-    if abs(amp) ** 2 < (1.0 - tol) * mass:
-        return None, amp
-    return key, amp
+    if amp == 0 or abs(amp) ** 2 < (1.0 - tol) * mass:
+        return None
+    return key
+
+
+def _apply_word(word: list[TensorOperator], vec: SparseVector,
+                q: float) -> SparseVector:
+    for op in word:
+        vec = qo.apply_operator(op, vec, q)
+    return vec
+
+
+def _witness_shell(families: list[WitnessFamily], total: int, q: float,
+                   tol: float = 1e-8):
+    """Yield (pattern, support) for every exponent pattern of the given total.
+
+    The pattern holds one exponent per slot, parts in ascending order.
+    Parts act in ascending order; inside a part the operators act in
+    descending index order, operator j repeated pattern[sigma(j)] times.
+    The witness works when the support of the result is the pattern itself.
+    """
+    slots = sum(len(f.operators) for f in families)
+    vacuum = qo.vacuum(("N",) * slots)
+    for pattern in _compositions(slots, total):
+        word, offset = [], 0
+        for fam in families:
+            for j in range(len(fam.operators), 0, -1):
+                word += [fam.operators[j - 1]] * pattern[
+                    offset + fam.sigma[j - 1] - 1]
+            offset += len(fam.operators)
+        yield pattern, _single_support(_apply_word(word, vacuum, q), tol)
 
 
 def verify_witness_chain(w: SignedPermutation, n: int, q: float,
@@ -320,90 +306,15 @@ def verify_witness_chain(w: SignedPermutation, n: int, q: float,
     """Check that every exponent pattern of total <= budget lands on the
     predicted basis vector with full relative mass."""
     families = witness_chain(w, n)
-    sizes = [len(f.operators) for f in families]
-    total_slots = sum(sizes)
-    sig = tuple("N" for _ in range(total_slots))
-    report = {"patterns": 0, "failures": [], "max_off_mass": 0.0}
-    for flat in _compositions_up_to(total_slots, budget):
-        exponents = []
-        pos = 0
-        for s in sizes:
-            exponents.append(list(flat[pos:pos + s]))
-            pos += s
-        out = apply_witness_pattern(families, exponents, qo.vacuum(sig), q)
-        key, amp = _single_support(out, tol)
-        expected = tuple(flat)
-        report["patterns"] += 1
-        if key != expected or amp == 0:
-            report["failures"].append({"pattern": expected,
-                                       "support": key})
+    report = {"patterns": 0, "failures": []}
+    for total in range(budget + 1):
+        for pattern, support in _witness_shell(families, total, q, tol):
+            report["patterns"] += 1
+            if support != pattern:
+                report["failures"].append({"pattern": pattern,
+                                           "support": support})
     report["ok"] = not report["failures"]
     return report
-
-
-def _compositions_up_to(slots: int, budget: int):
-    """All tuples of `slots` naturals with sum <= budget."""
-    if slots == 0:
-        yield ()
-        return
-    def rec(remaining, left):
-        if left == 1:
-            for v in range(remaining + 1):
-                yield (v,)
-            return
-        for v in range(remaining + 1):
-            for rest in rec(remaining - v, left - 1):
-                yield (v,) + rest
-    yield from rec(budget, slots)
-
-
-def _compositions_exact(slots: int, total: int):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    def rec(remaining, left):
-        if left == 1:
-            yield (remaining,)
-            return
-        for v in range(remaining + 1):
-            for rest in rec(remaining - v, left - 1):
-                yield (v,) + rest
-    yield from rec(total, slots)
-
-
-def lower_bound_certificate(w: SignedPermutation, n: int, r: int, q: float,
-                            tol: float = 1e-8) -> dict:
-    """Verify that the whole lattice shell of total degree r is reachable.
-
-    Every basis vector e_beta with |beta| = r is produced by an explicit
-    word of A*r generator applications (A = 1: each witness is a single
-    generator image), so the count binom(r + l - 1, r) bounds d(A r) from
-    below by distinct-basis independence.
-    """
-    families = witness_chain(w, n)
-    sizes = [len(f.operators) for f in families]
-    total_slots = sum(sizes)
-    if total_slots == 0:
-        return {"count": 1 if r == 0 else 0, "r": r, "A": 0, "ok": r == 0,
-                "word_length": 0}
-    A = max(f.degree for f in families)
-    sig = tuple("N" for _ in range(total_slots))
-    reached = set()
-    for flat in _compositions_exact(total_slots, r):
-        exponents = []
-        pos = 0
-        for s in sizes:
-            exponents.append(list(flat[pos:pos + s]))
-            pos += s
-        out = apply_witness_pattern(families, exponents, qo.vacuum(sig), q)
-        key, amp = _single_support(out, tol)
-        if key != tuple(flat) or amp == 0:
-            raise CertificateFailure(f"witness missed pattern {flat}")
-        reached.add(key)
-    expected = math.comb(r + total_slots - 1, r)
-    return {"count": len(reached), "r": r, "A": A,
-            "word_length": A * r, "ok": len(reached) == expected}
 
 
 @dataclass
@@ -425,7 +336,11 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
 
     The series and the witnesses are both computed on the canonical
     reduced word of the element, so the raising families line up with the
-    tensor slots."""
+    tensor slots.  Each witness of total s is a word of s generator images
+    (A = 1), so the patterns of total <= r put binom(r + l, l) distinct
+    basis vectors into the span of words of length <= r; one pass over the
+    totals up to max(r_max, witness_budget) checks them all.
+    """
     n = spec.n
     w = weylb.from_word(spec.word, n)
     lw = weylb.length(w)
@@ -434,20 +349,24 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     canonical = RepSpec(n, weylb.normal_form(w).word(), spec.t)
     series = module_growth(canonical, r_max, q, basis_cap=basis_cap)
     series.context["input_word"] = list(spec.word)
-    wit = verify_witness_chain(w, n, q, budget=witness_budget) if lw else {"ok": True}
     d = dict(series.values)
-    rows = []
-    for r in range(0, r_max + 1):
-        lower = math.comb(r + lw - 1, r) if lw else 1
+    families = witness_chain(w, n)
+    witness_ok, reached, rows = True, 0, []
+    for r in range(max(r_max, witness_budget) + 1):
+        for pattern, support in _witness_shell(families, r, q):
+            if support == pattern:
+                reached += 1
+            elif r <= witness_budget:
+                witness_ok = False
+        if r > r_max:
+            continue
+        lower = math.comb(r + lw, lw)
         upper = (SHIFT_EXPONENT_BOUND * r + 1) ** lw
-        cert = lower_bound_certificate(w, n, r, q) if lw else {"ok": True,
-                                                               "count": 1}
-        ok = cert["ok"] and lower <= d[r] <= upper
         rows.append({"r": r, "d": d[r], "lower": lower, "upper": upper,
-                     "ok": ok})
+                     "ok": reached == lower and lower <= d[r] <= upper})
     est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
                                                         "slope": 0.0}
-    return series, GrowthCertificate(lw, rows, bool(wit["ok"]), est)
+    return series, GrowthCertificate(lw, rows, witness_ok, est)
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +411,13 @@ def homogeneous_rep(n: int, m: int, w: SignedPermutation) -> GeneratorImageTable
     return out
 
 
-def homogeneous_witnesses(n: int, m: int, w: SignedPermutation, q: float
-                          ) -> list[dict]:
+def homogeneous_witnesses(n: int, m: int, w: SignedPermutation) -> list[dict]:
     """Raising/lowering families of the homogeneous realisation.
 
     For each depth i from m to n the family holds h0 (drives the circle
     slot n-i+1), and for each nonempty part slot the pair (h_j, h_j*)
     built from the adjoint of h0 composed with the raising witness.
     """
-    R = ParabolicSubset.homogeneous(n, m)
-    if not weylb.in_quotient(w, R):
-        raise ValueError("element is not a minimal coset representative")
     eta = homogeneous_rep(n, m, w)
     part_words = weylb.parts(w)
     families = []
@@ -543,57 +458,43 @@ def homogeneous_witnesses(n: int, m: int, w: SignedPermutation, q: float
             "h": hs,
             "h_star": [qo.adjoint(h) for h in hs],
             "sigma": sigma,
-            "degrees": {"h0": 1, "h": 2, "h_star": 2},
         })
         offset += r
     return families
 
 
-def apply_homogeneous_pattern(families: list[dict], pattern: dict,
-                              signature: tuple[str, ...], q: float
-                              ) -> SparseVector:
-    """Apply the h-word of one exponent pattern to the vacuum.
+def _pattern_word(families: list[dict], pattern: dict) -> list[TensorOperator]:
+    """The h-word of one exponent pattern, in application order.
 
     pattern = {i: (r0, [(r_j, p_j), ...])} keyed by part index.  The h0
     block acts first (parts ascending), then each part's pairs in
     descending slot order: h_j to the power r, then its adjoint to the
     power p.
     """
-    vec = qo.vacuum(signature)
+    word = []
     for fam in families:
-        r0, _ = pattern[fam["part_index"]]
-        vec = _apply_power(fam["h0"], vec, r0, q)
+        word += [fam["h0"]] * pattern[fam["part_index"]][0]
     for fam in families:
-        _, pairs = pattern[fam["part_index"]]
-        sigma = fam["sigma"]
+        pairs = pattern[fam["part_index"]][1]
         for j in range(len(pairs), 0, -1):
-            r_e, p_e = pairs[sigma[j - 1] - 1]
-            vec = _apply_power(fam["h"][j - 1], vec, r_e, q)
-            vec = _apply_power(fam["h_star"][j - 1], vec, p_e, q)
-    return vec
+            r_e, p_e = pairs[fam["sigma"][j - 1] - 1]
+            word += [fam["h"][j - 1]] * r_e + [fam["h_star"][j - 1]] * p_e
+    return word
 
 
 def _homogeneous_patterns(families: list[dict], total: int):
     """All exponent patterns (r0 per family, (r, p) with r >= p per slot)
     with the stated total."""
-    per_family = [(1 + 2 * len(f["h"])) for f in families]
-    slots = sum(per_family)
-    for flat in _compositions_exact(slots, total):
-        pattern = {}
-        pos = 0
-        valid = True
-        for fam, width in zip(families, per_family):
-            r0 = flat[pos]
-            pairs = []
-            for s in range((width - 1) // 2):
-                r_e = flat[pos + 1 + 2 * s]
-                p_e = flat[pos + 2 + 2 * s]
-                if p_e > r_e:
-                    valid = False
-                pairs.append((r_e, p_e))
-            pattern[fam["part_index"]] = (r0, pairs)
+    widths = [1 + 2 * len(f["h"]) for f in families]
+    for flat in _compositions(sum(widths), total):
+        pattern, pos = {}, 0
+        for fam, width in zip(families, widths):
+            block = flat[pos:pos + width]
+            pattern[fam["part_index"]] = (block[0],
+                                          list(zip(block[1::2], block[2::2])))
             pos += width
-        if valid:
+        if all(p_e <= r_e for _, pairs in pattern.values()
+               for r_e, p_e in pairs):
             yield pattern
 
 
@@ -609,24 +510,21 @@ def predicted_homogeneous_index(families: list[dict], pattern: dict,
     return tuple(idx)
 
 
-def verify_homogeneous_witnesses(n: int, m: int, w: SignedPermutation,
-                                 q: float, budget: int = 4,
-                                 tol: float = 1e-8) -> dict:
+def verify_homogeneous_witnesses(families: list[dict], q: float,
+                                 budget: int = 4, tol: float = 1e-8) -> dict:
     """Check the single-basis-vector pattern of every witness word with
     total exponent <= budget."""
-    families = homogeneous_witnesses(n, m, w, q)
-    eta = homogeneous_rep(n, m, w)
-    sig = eta.signature
+    sig = families[0]["h0"].signature
     report = {"patterns": 0, "failures": []}
     for total in range(budget + 1):
         for pattern in _homogeneous_patterns(families, total):
-            out = apply_homogeneous_pattern(families, pattern, sig, q)
-            key, amp = _single_support(out, tol)
-            expected = predicted_homogeneous_index(families, pattern, sig)
+            out = _apply_word(_pattern_word(families, pattern),
+                              qo.vacuum(sig), q)
+            support = _single_support(out, tol)
             report["patterns"] += 1
-            if key != expected or amp == 0:
+            if support != predicted_homogeneous_index(families, pattern, sig):
                 report["failures"].append({"pattern": repr(pattern),
-                                           "support": key})
+                                           "support": support})
     report["ok"] = not report["failures"]
     return report
 
@@ -635,41 +533,6 @@ def verify_homogeneous_witnesses(n: int, m: int, w: SignedPermutation,
 # algebra growth by exact structural fingerprints
 # ---------------------------------------------------------------------------
 
-def _probe_rank_series(gens: list[TensorOperator], signature: tuple[str, ...],
-                       r_max: int, q: float, cutoff: int,
-                       basis_cap: int) -> list[tuple[int, int]]:
-    """Action-window rank series: a lower-bound cross-check of the exact
-    structural rank, using probe vectors with index sum <= cutoff."""
-    probes = sorted(_compositions_up_to(len(signature), cutoff))
-    base = [qo.basis_vector(signature, p) for p in probes]
-    ech = Echelon()
-
-    def fingerprint(outputs):
-        flat = {}
-        for p_idx, out in enumerate(outputs):
-            for key, amp in out.entries.items():
-                flat[(p_idx, key)] = amp
-        return flat
-
-    ident = base
-    ech.add(fingerprint(ident))
-    frontier = [ident]
-    values = [(0, len(ech))]
-    for r in range(1, r_max + 1):
-        new_frontier = []
-        for word in frontier:
-            for g in gens:
-                outs = [qo.apply_operator(g, v, q) for v in word]
-                fp = fingerprint(outs)
-                if fp and ech.add(fp) is not None:
-                    new_frontier.append(outs)
-                    if len(ech) > basis_cap:
-                        raise BudgetExceeded("probe basis exceeded cap")
-        frontier = new_frontier
-        values.append((r, len(ech)))
-    return values
-
-
 def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
                    probe_cutoff: int = 4, basis_cap: int = 20000
                    ) -> GrowthSeries:
@@ -677,46 +540,29 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
 
     The rank is computed exactly from the structural monomial expansion of
     each word (the calculus keeps compositions in closed form, so operator
-    equality is decidable).  An action-window rank at the given probe
-    cutoff is recorded as a consistency lower bound.
+    equality is decidable).  The rank of the words' action on the probe
+    vectors with index sum <= probe_cutoff is recorded as a consistency
+    lower bound.
     """
     eta = homogeneous_rep(n, m, w)
-    gens = homogeneous_generating_set(eta, n, m).nontrivial()
-
-    ech = Echelon()
-    ident = qo.identity_operator(eta.signature)
-    ech.add(qo.monomial_decomposition(ident, q))
-    frontier = [ident]
-    values = [(0, len(ech))]
-    for r in range(1, r_max + 1):
-        new_frontier = []
-        for cand in (qo.compose(g, word) for word in frontier for g in gens):
-            fp = qo.monomial_decomposition(cand, q)
-            if not fp:
-                continue
-            if ech.add(fp) is not None:
-                new_frontier.append(cand)
-                if len(ech) > basis_cap:
-                    partial = GrowthSeries(
-                        {"kind": "homogeneous", "n": n, "m": m},
-                        values, [f"budget exceeded at step {r}"])
-                    raise BudgetExceeded(
-                        f"operator basis exceeded {basis_cap}", partial)
-        frontier = new_frontier
-        values.append((r, len(ech)))
-
-    flags = []
-    probe_values = _probe_rank_series(gens, eta.signature, r_max, q,
-                                      probe_cutoff, basis_cap)
-    for (r, d), (rp, dp) in zip(values, probe_values):
-        if dp > d:
-            flags.append(f"probe rank {dp} exceeds structural rank {d} at r={r}")
-    series = GrowthSeries({"kind": "homogeneous", "n": n, "m": m,
-                           "word": list(weylb.normal_form(w).word()),
-                           "probe_cutoff": probe_cutoff,
-                           "probe_values": probe_values},
-                          values, flags)
-    return series
+    gens = homogeneous_generators(eta, n, m)
+    sig = eta.signature
+    context = {"kind": "homogeneous", "n": n, "m": m}
+    values = _span_series(qo.identity_operator(sig), gens, qo.compose,
+                          lambda op: qo.monomial_decomposition(op, q),
+                          r_max, basis_cap, context).values
+    probes = [qo.basis_vector(sig, p) for p in sorted(
+        p for t in range(probe_cutoff + 1) for p in _compositions(len(sig), t))]
+    probe_values = _span_series(
+        probes, gens, lambda g, outs: [qo.apply_operator(g, v, q) for v in outs],
+        lambda outs: {(i, key): amp for i, out in enumerate(outs)
+                      for key, amp in out.entries.items()},
+        r_max, basis_cap, context).values
+    flags = [f"probe rank {dp} exceeds structural rank {d} at r={r}"
+             for (r, d), (_, dp) in zip(values, probe_values) if dp > d]
+    context.update(word=list(weylb.normal_form(w).word()),
+                   probe_cutoff=probe_cutoff, probe_values=probe_values)
+    return GrowthSeries(context, values, flags)
 
 
 def algebra_container_bound(n: int, m: int, w: SignedPermutation, r: int) -> int:
@@ -742,7 +588,8 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     The target exponent is the classical quotient dimension
     2*length + n - m + 1.  For each sampled r the certificate checks the
     witness-rank lower bound binom(r + target - 1, r)/2 within word length
-    A r, and the container upper bound on the measured series.
+    2r (h_j = h0* g is a word of two generators), and the container upper
+    bound on the measured series.
     """
     R = ParabolicSubset.homogeneous(n, m)
     w = weylb.longest_quotient_element(n, R)
@@ -752,12 +599,10 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     if target != dims["quotient_dim"]:
         raise AssertionError("target exponent disagrees with the dimension count")
 
-    wit = verify_homogeneous_witnesses(n, m, w, q, budget=witness_budget)
+    families = homogeneous_witnesses(n, m, w)
+    wit = verify_homogeneous_witnesses(families, q, budget=witness_budget)
     if not wit["ok"]:
         raise CertificateFailure(f"witness verification failed: {wit['failures'][:3]}")
-
-    families = homogeneous_witnesses(n, m, w, q)
-    A = 2 if any(f["h"] for f in families) else 1
 
     series = algebra_growth(n, m, w, r_max, q, probe_cutoff=probe_cutoff,
                             basis_cap=basis_cap)
@@ -766,12 +611,14 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     rows = []
     ech = Echelon()
     count = 0
-    eta_sig = homogeneous_rep(n, m, w).signature
+    ident = qo.identity_operator(families[0]["h0"].signature)
     for r in range(0, r_max + 1):
-        # witness words with total exponent <= r have length <= A r;
+        # witness words with total exponent <= r have length <= 2r;
         # their structural rank lower-bounds the span of words of that length
         for pattern in _homogeneous_patterns(families, r):
-            word_op = _pattern_word_operator(families, pattern, eta_sig)
+            word_op = ident
+            for g in _pattern_word(families, pattern):
+                word_op = qo.compose(g, word_op)
             fp = qo.monomial_decomposition(word_op, q)
             if fp and ech.add(fp) is not None:
                 count += 1
@@ -784,23 +631,3 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
                                                         "slope": 0.0}
     cert = GrowthCertificate(target, rows, True, est)
     return series, cert
-
-
-def _pattern_word_operator(families: list[dict], pattern: dict,
-                           signature: tuple[str, ...]) -> TensorOperator:
-    """The composed operator of one witness pattern (innermost first)."""
-    word = []
-    for fam in families:
-        r0, _ = pattern[fam["part_index"]]
-        word.extend([fam["h0"]] * r0)
-    for fam in families:
-        _, pairs = pattern[fam["part_index"]]
-        sigma = fam["sigma"]
-        for j in range(len(pairs), 0, -1):
-            r_e, p_e = pairs[sigma[j - 1] - 1]
-            word.extend([fam["h"][j - 1]] * r_e)
-            word.extend([fam["h_star"][j - 1]] * p_e)
-    op = qo.identity_operator(signature)
-    for g in word:
-        op = qo.compose(g, op)
-    return op

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +87,7 @@ def test_rep_verify_bad_torus(capsys):
     code, _, err = run_cli(["rep", "verify", "--n", "2", "--word", "1",
                             "--t", "2,0;1,0"], capsys)
     assert code == 2
+    assert "error: torus entry (2+0j) is not unit modulus" in err
 
 
 def test_rep_entry_render(capsys):
@@ -165,8 +168,13 @@ def test_determinism_across_threads(capsys, tmp_path):
 
 
 def test_entry_point_runs():
+    # the child imports bqdim from where this process found it, so the
+    # test also runs from a checkout without an install
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "bqdim.cli", "weyl", "dims",
                            "--n", "1", "--m", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["group_dim"] == 3

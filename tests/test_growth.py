@@ -99,7 +99,7 @@ def test_witness_last_part_single_letters():
     assert len(fam.operators) == 1
     vec = qo.vacuum(("N",))
     for z in range(1, 4):
-        vec_z = growth._apply_power(fam.operators[0], qo.vacuum(("N",)), z, Q)
+        vec_z = growth._apply_word([fam.operators[0]] * z, qo.vacuum(("N",)), Q)
         assert set(vec_z.entries) == {(z,)}
 
 
@@ -107,7 +107,7 @@ def test_witness_case_split_with_middle_letter():
     # the one-letter rank-one element needs the single-raising column
     fam = growth.witness_chain(weylb.from_word((1,), 1), 1)[-1]
     assert fam.columns == [(3, 2)]
-    vec = growth._apply_power(fam.operators[0], qo.vacuum(("N",)), 3, Q)
+    vec = growth._apply_word([fam.operators[0]] * 3, qo.vacuum(("N",)), Q)
     assert set(vec.entries) == {(3,)}
 
 
@@ -164,15 +164,15 @@ def test_embedded_operators_act_on_own_part():
 
 
 def test_lower_bound_certificate_counts():
-    w = weylb.from_word((1, 2), 2)
-    cert = growth.lower_bound_certificate(w, 2, 3, Q)
-    assert cert["count"] == math.comb(4, 3) == 4
-    assert cert["ok"] and cert["A"] == 1
-    w0 = weylb.from_word((1, 2, 1, 2), 2)
-    cert = growth.lower_bound_certificate(w0, 2, 2, Q)
-    assert cert["count"] == math.comb(5, 2) == 10
-    assert cert["ok"]
-    assert growth.lower_bound_certificate(w0, 2, 0, Q)["count"] == 1
+    # witnesses of total <= r reach binom(r + l, l) basis vectors with
+    # words of length <= r, a bound of the full degree l
+    _, cert = growth.module_certificate(RepSpec(2, (1, 2)), 3, Q)
+    assert cert.rows[3]["lower"] == math.comb(5, 2) == 10
+    assert all(row["ok"] for row in cert.rows)
+    _, cert = growth.module_certificate(RepSpec(2, (1, 2, 1, 2)), 2, Q)
+    assert cert.rows[2]["lower"] == math.comb(6, 4) == 15
+    assert cert.rows[0]["lower"] == 1
+    assert all(row["ok"] for row in cert.rows)
 
 
 @pytest.mark.parametrize("word", [(1,), (2,), (1, 2), (2, 1, 2), (1, 2, 1, 2)])
@@ -237,20 +237,23 @@ def test_homogeneous_rep_restricted_rows():
 @pytest.mark.parametrize("n,m,word", [(1, 1, (1,)), (2, 2, (1, 2, 1))])
 def test_homogeneous_witness_patterns(n, m, word):
     w = weylb.from_word(word, n)
-    rep = growth.verify_homogeneous_witnesses(n, m, w, Q, budget=4)
+    fams = growth.homogeneous_witnesses(n, m, w)
+    rep = growth.verify_homogeneous_witnesses(fams, Q, budget=4)
     assert rep["ok"], rep["failures"][:3]
     assert rep["patterns"] > 1
 
 
 def test_homogeneous_witness_independence_fingerprints():
     w = weylb.from_word((1,), 1)
-    fams = growth.homogeneous_witnesses(1, 1, w, Q)
+    fams = growth.homogeneous_witnesses(1, 1, w)
     eta = growth.homogeneous_rep(1, 1, w)
     ech = growth.Echelon()
     added = 0
     for total in range(4):
         for pattern in growth._homogeneous_patterns(fams, total):
-            op = growth._pattern_word_operator(fams, pattern, eta.signature)
+            op = qo.identity_operator(eta.signature)
+            for g in growth._pattern_word(fams, pattern):
+                op = qo.compose(g, op)
             fp = qo.monomial_decomposition(op, Q)
             if fp and ech.add(fp) is not None:
                 added += 1
@@ -352,11 +355,11 @@ def test_homogeneous_multi_family_chain():
     lower one acting through the embedded depth-one operators."""
     R = weylb.ParabolicSubset.homogeneous(2, 1)
     w = weylb.longest_quotient_element(2, R)
-    fams = growth.homogeneous_witnesses(2, 1, w, Q)
+    fams = growth.homogeneous_witnesses(2, 1, w)
     assert [f["part_index"] for f in fams] == [1, 2]
     assert [f["circle_slot"] for f in fams] == [2, 1]
     assert [len(f["h"]) for f in fams] == [1, 3]
-    rep = growth.verify_homogeneous_witnesses(2, 1, w, Q, budget=3)
+    rep = growth.verify_homogeneous_witnesses(fams, Q, budget=3)
     assert rep["ok"], rep["failures"][:3]
 
 
@@ -398,20 +401,30 @@ def test_container_bound_degrees():
 
 def test_generating_sets():
     table = repsoq.rep_table(RepSpec(2, (1,)))
-    gens = growth.module_generating_set(table)
-    assert gens.kind == "module"
-    assert any(name == "1" for name, _ in gens.operators)
-    assert len(gens.nontrivial()) == len(table.images)
+    assert len(growth.module_generators(table)) == len(table.images)
 
     w = weylb.from_word((1,), 1)
     eta = growth.homogeneous_rep(1, 1, w)
-    hgens = growth.homogeneous_generating_set(eta, 1, 1)
-    assert hgens.kind == "homogeneous"
-    # one image and one involute per nonzero entry, plus the unit
-    assert len(hgens.operators) == 2 * len(eta.images) + 1
-    # first-step span bound: d(1) <= |F| + 1
+    hgens = growth.homogeneous_generators(eta, 1, 1)
+    # one image and one involute per nonzero entry
+    assert len(hgens) == 2 * len(eta.images)
+    # first-step span bound: d(1) <= |F| + 1, the unit counted apart
     series = growth.algebra_growth(1, 1, w, 1, Q, probe_cutoff=2)
-    assert series.dims()[1] <= len(hgens.nontrivial()) + 1
+    assert series.dims()[1] <= len(hgens) + 1
 
+    # rows outside the restricted row set are refused
+    w21 = weylb.longest_quotient_element(
+        2, weylb.ParabolicSubset.homogeneous(2, 1))
     with pytest.raises(ValueError):
-        growth.GeneratingSet("module", [("x", qo.identity_operator(("N",)))])
+        growth.homogeneous_generators(growth.homogeneous_rep(2, 1, w21), 2, 2)
+
+
+def test_probe_and_witness_rank_series():
+    """Probe rank series and witness rank of the quantum rotation-group
+    case, pinned at probe cutoff 3."""
+    w = weylb.from_word((1,), 1)
+    series = growth.algebra_growth(1, 1, w, 3, Q, probe_cutoff=3)
+    assert series.context["probe_values"] == [(0, 1), (1, 10), (2, 34),
+                                              (3, 74)]
+    _, cert = growth.homogeneous_certificate(1, 1, 3, Q, probe_cutoff=3)
+    assert [row["witness_rank"] for row in cert.rows] == [1, 3, 7, 13]
