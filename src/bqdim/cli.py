@@ -184,9 +184,6 @@ def cmd_diagram(args) -> int:
     if args.diagram_op == "dot":
         sys.stdout.write(diagrams.render_dot(diagram))
     elif args.diagram_op == "paths":
-        size = 2 * n + 1
-        if not (1 <= args.src <= size and 1 <= args.dst <= size):
-            raise UsageError(f"node out of range 1..{size}")
         found = diagrams.paths(diagram, args.src, args.dst)
         _emit({"schema": SCHEMA, "command": "diagram.paths", "n": n,
                "word": list(word), "from": args.src, "to": args.dst,
@@ -336,12 +333,6 @@ def main(argv=None) -> int:
     except ValueError as exc:          # includes UsageError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except growth.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except growth.CertificateFailure as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -117,14 +117,6 @@ def diagram_for(spec: repsoq.RepSpec) -> Diagram:
     return Diagram(tuple(layers))
 
 
-def concatenate(a: Diagram, b: Diagram) -> Diagram:
-    if not a.layers or not b.layers:
-        return Diagram(a.layers + b.layers)
-    if a.n != b.n:
-        raise ValueError("rank mismatch")
-    return Diagram(a.layers + b.layers)
-
-
 def paths(diagram: Diagram, src: int, dst: int) -> list[tuple[int, ...]]:
     """All node sequences from left node src to right node dst."""
     size = diagram.size
@@ -183,10 +175,6 @@ class EmbeddingMap:
     @property
     def domain(self) -> range:
         return node_window(self.n, self.k)
-
-    @property
-    def codomain(self) -> range:
-        return node_window(self.n, self.k + self.l)
 
 
 def embedding_step(part_words: list[Word], i: int, n: int) -> EmbeddingMap:

@@ -10,12 +10,16 @@ expands over structurally independent monomials.  It runs once more on the
 action of the words on a window of probe vectors, whose rank is recorded
 alongside as a lower-bound cross-check.
 
-Lower bounds are certified by explicit witness words, checked in one pass
-over exponent patterns: single generator images that raise one tensor slot
-at a time, recovered part by part through the embedding maps.  The
-patterns of total <= r reach binom(r + l, l) distinct basis vectors with
-words of length <= r.  Upper bounds come from the window-size count
-(module case) and a per-slot container count (algebra case).
+Lower bounds are certified by explicit witness words.  A witness system is
+a list of letters (operator, slot, step) that raise or lower one tensor
+slot each: single generator images, recovered part by part through the
+embedding maps, in the module case; the circle driver h0 and the pairs
+h_j = h0* g, h_j* in the homogeneous case.  One pattern shell enumerates
+the exponent patterns with their predicted basis index and word, and one
+pass over it checks that each word lands on its index, counts the patterns
+(the lower bound) and, in the homogeneous case, ranks the words.  Upper
+bounds come from the window-size count (module case) and a per-slot
+container count (algebra case).
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, message: str, partial: "GrowthSeries | None" = None):
         super().__init__(message)
         self.partial = partial
-
-
-class CertificateFailure(RuntimeError):
-    """A witness product missed its predicted basis vector."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +196,13 @@ SHIFT_EXPONENT_BOUND = 2   # no table entry moves one slot index by more
 
 
 # ---------------------------------------------------------------------------
-# witness families (module case)
+# witness letters: one pattern shell, one verifier
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WitnessFamily:
-    """Single-generator raising words for one part of the factorised word.
-
-    operators[j-1] (the image at columns[j-1]) raises slot sigma(j) of the
-    part when applied to vectors whose later slots of the part still hold
-    the vacuum; applying in the order j = r, r-1, ..., 1 steers the part to
-    an arbitrary lattice point.
-    """
-
-    operators: list[TensorOperator]
-    sigma: list[int]
-    columns: list[tuple[int, int]]
+# A witness letter (operator, slot, step) moves the index of one tensor slot
+# by step: +1 raising, -1 lowering.  A witness system is a list of letters
+# in application order.
+Letter = tuple[TensorOperator, int, int]
 
 
 def _part_witness_columns(r: int, i: int) -> tuple[list[int], list[int]]:
@@ -228,23 +219,27 @@ def _part_witness_columns(r: int, i: int) -> tuple[list[int], list[int]]:
     return cols, sigma
 
 
-def witness_chain(w: SignedPermutation, n: int) -> list[WitnessFamily]:
-    """Raising families for all nonempty parts of w, on the word table.
+def witness_chain(w: SignedPermutation, n: int) -> list[Letter]:
+    """Raising letters for all nonempty parts of w, on the word table.
 
-    The depth-i family uses row n+i+1 and the embedding-map relabeling of
-    the depth-i columns.
+    The depth-i part uses row n+i+1 and the embedding-map relabeling of
+    the depth-i columns.  Parts go in ascending order; within a part the
+    letters go in descending column order, letter j raising slot sigma(j)
+    while the later slots of the part still hold the vacuum, which steers
+    the part to an arbitrary lattice point.
     """
     table = repsoq.rep_table(RepSpec(n, weylb.normal_form(w).word()))
-    fams = []
+    letters, offset = [], 0
     for i, part in enumerate(weylb.parts(w), start=1):
         if not part:
             continue
         cols, sigma = _part_witness_columns(len(part), i)
         lam = diagrams.embedding_chain(w, i)
-        columns = [(n + i + 1, lam(c + n - i)) for c in cols]
-        fams.append(WitnessFamily([table.entry(k, l) for k, l in columns],
-                                  sigma, columns))
-    return fams
+        for j in range(len(part), 0, -1):
+            letters.append((table.entry(n + i + 1, lam(cols[j - 1] + n - i)),
+                            offset + sigma[j - 1] - 1, 1))
+        offset += len(part)
+    return letters
 
 
 def _compositions(slots: int, total: int):
@@ -280,41 +275,52 @@ def _apply_word(word: list[TensorOperator], vec: SparseVector,
     return vec
 
 
-def _witness_shell(families: list[WitnessFamily], total: int, q: float,
-                   tol: float = 1e-8):
-    """Yield (pattern, support) for every exponent pattern of the given total.
+def _landing(word: list[TensorOperator], signature: tuple[str, ...], q: float,
+             tol: float = 1e-8) -> tuple[int, ...] | None:
+    """The basis index the word sends the vacuum to, or None."""
+    return _single_support(_apply_word(word, qo.vacuum(signature), q), tol)
 
-    The pattern holds one exponent per slot, parts in ascending order.
-    Parts act in ascending order; inside a part the operators act in
-    descending index order, operator j repeated pattern[sigma(j)] times.
-    The witness works when the support of the result is the pattern itself.
+
+def _witness_shell(letters: list[Letter], signature: tuple[str, ...],
+                   total: int):
+    """Yield (exponents, predicted index, word) for every exponent pattern
+    of the given total whose predicted index is >= 0 on every N slot.
+
+    Letter e acts exponents[e] times, letters in order, and adds step times
+    its exponent to the predicted index of its slot.  The witness works when
+    the word sends the vacuum to the predicted index.
     """
-    slots = sum(len(f.operators) for f in families)
-    vacuum = qo.vacuum(("N",) * slots)
-    for pattern in _compositions(slots, total):
-        word, offset = [], 0
-        for fam in families:
-            for j in range(len(fam.operators), 0, -1):
-                word += [fam.operators[j - 1]] * pattern[
-                    offset + fam.sigma[j - 1] - 1]
-            offset += len(fam.operators)
-        yield pattern, _single_support(_apply_word(word, vacuum, q), tol)
+    for exps in _compositions(len(letters), total):
+        index = [0] * len(signature)
+        for (_, slot, step), e in zip(letters, exps):
+            index[slot] += step * e
+        if any(v < 0 for v, kind in zip(index, signature) if kind == "N"):
+            continue
+        word = [op for (op, _, _), e in zip(letters, exps) for _ in range(e)]
+        yield exps, tuple(index), word
+
+
+def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
+                     q: float, budget: int = 4, tol: float = 1e-8) -> dict:
+    """Check that every witness pattern of total <= budget lands on its
+    predicted basis vector with full relative mass."""
+    report = {"patterns": 0, "failures": []}
+    for total in range(budget + 1):
+        for exps, index, word in _witness_shell(letters, signature, total):
+            report["patterns"] += 1
+            support = _landing(word, signature, q, tol)
+            if support != index:
+                report["failures"].append({"exponents": exps, "index": index,
+                                           "support": support})
+    report["ok"] = not report["failures"]
+    return report
 
 
 def verify_witness_chain(w: SignedPermutation, n: int, q: float,
                          budget: int = 4, tol: float = 1e-8) -> dict:
-    """Check that every exponent pattern of total <= budget lands on the
-    predicted basis vector with full relative mass."""
-    families = witness_chain(w, n)
-    report = {"patterns": 0, "failures": []}
-    for total in range(budget + 1):
-        for pattern, support in _witness_shell(families, total, q, tol):
-            report["patterns"] += 1
-            if support != pattern:
-                report["failures"].append({"pattern": pattern,
-                                           "support": support})
-    report["ok"] = not report["failures"]
-    return report
+    """verify_witnesses on the raising letters of w."""
+    letters = witness_chain(w, n)
+    return verify_witnesses(letters, ("N",) * len(letters), q, budget, tol)
 
 
 @dataclass
@@ -335,7 +341,7 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     """Sandwich certificate for the module growth of one element.
 
     The series and the witnesses are both computed on the canonical
-    reduced word of the element, so the raising families line up with the
+    reduced word of the element, so the raising letters line up with the
     tensor slots.  Each witness of total s is a word of s generator images
     (A = 1), so the patterns of total <= r put binom(r + l, l) distinct
     basis vectors into the span of words of length <= r; one pass over the
@@ -350,11 +356,11 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     series = module_growth(canonical, r_max, q, basis_cap=basis_cap)
     series.context["input_word"] = list(spec.word)
     d = dict(series.values)
-    families = witness_chain(w, n)
+    letters, sig = witness_chain(w, n), ("N",) * lw
     witness_ok, reached, rows = True, 0, []
     for r in range(max(r_max, witness_budget) + 1):
-        for pattern, support in _witness_shell(families, r, q):
-            if support == pattern:
+        for _, index, word in _witness_shell(letters, sig, r):
+            if _landing(word, sig, q) == index:
                 reached += 1
             elif r <= witness_budget:
                 witness_ok = False
@@ -411,17 +417,17 @@ def homogeneous_rep(n: int, m: int, w: SignedPermutation) -> GeneratorImageTable
     return out
 
 
-def homogeneous_witnesses(n: int, m: int, w: SignedPermutation) -> list[dict]:
-    """Raising/lowering families of the homogeneous realisation.
+def homogeneous_witnesses(n: int, m: int, w: SignedPermutation) -> list[Letter]:
+    """Raising/lowering letters of the homogeneous realisation.
 
-    For each depth i from m to n the family holds h0 (drives the circle
-    slot n-i+1), and for each nonempty part slot the pair (h_j, h_j*)
-    built from the adjoint of h0 composed with the raising witness.
+    For each depth i from m to n, h0 raises the circle slot n-i+1; all h0
+    letters come first.  Then, part by part in descending column order,
+    each part slot gets h_j = h0* composed with its raising image, followed
+    by the lowering letter h_j*.
     """
     eta = homogeneous_rep(n, m, w)
     part_words = weylb.parts(w)
-    families = []
-    offset = 0
+    circle, pairs, offset = [], [], n - m + 1
     for i in range(1, n + 1):
         r = len(part_words[i - 1])
         if i < m and r:
@@ -444,89 +450,17 @@ def homogeneous_witnesses(n: int, m: int, w: SignedPermutation) -> list[dict]:
                 diag_cols.append(l)
         if len(diag_cols) != 1:
             raise AssertionError(f"expected one diagonal column, got {diag_cols}")
-        l0 = diag_cols[0]
-        h0 = eta.entry(n + i + 1, lam(l0 + shift))
+        h0 = eta.entry(n + i + 1, lam(diag_cols[0] + shift))
+        circle.append((h0, n - i, 1))
         cols, sigma = _part_witness_columns(r, i)
         h0_star = qo.adjoint(h0)
-        hs = [qo.compose(h0_star, eta.entry(n + i + 1, lam(c + shift)))
-              for c in cols]
-        families.append({
-            "part_index": i,
-            "slot_offset": offset,
-            "circle_slot": n - i + 1,
-            "h0": h0,
-            "h": hs,
-            "h_star": [qo.adjoint(h) for h in hs],
-            "sigma": sigma,
-        })
+        for j in range(r, 0, -1):
+            h = qo.compose(h0_star,
+                           eta.entry(n + i + 1, lam(cols[j - 1] + shift)))
+            slot = offset + sigma[j - 1] - 1
+            pairs += [(h, slot, 1), (qo.adjoint(h), slot, -1)]
         offset += r
-    return families
-
-
-def _pattern_word(families: list[dict], pattern: dict) -> list[TensorOperator]:
-    """The h-word of one exponent pattern, in application order.
-
-    pattern = {i: (r0, [(r_j, p_j), ...])} keyed by part index.  The h0
-    block acts first (parts ascending), then each part's pairs in
-    descending slot order: h_j to the power r, then its adjoint to the
-    power p.
-    """
-    word = []
-    for fam in families:
-        word += [fam["h0"]] * pattern[fam["part_index"]][0]
-    for fam in families:
-        pairs = pattern[fam["part_index"]][1]
-        for j in range(len(pairs), 0, -1):
-            r_e, p_e = pairs[fam["sigma"][j - 1] - 1]
-            word += [fam["h"][j - 1]] * r_e + [fam["h_star"][j - 1]] * p_e
-    return word
-
-
-def _homogeneous_patterns(families: list[dict], total: int):
-    """All exponent patterns (r0 per family, (r, p) with r >= p per slot)
-    with the stated total."""
-    widths = [1 + 2 * len(f["h"]) for f in families]
-    for flat in _compositions(sum(widths), total):
-        pattern, pos = {}, 0
-        for fam, width in zip(families, widths):
-            block = flat[pos:pos + width]
-            pattern[fam["part_index"]] = (block[0],
-                                          list(zip(block[1::2], block[2::2])))
-            pos += width
-        if all(p_e <= r_e for _, pairs in pattern.values()
-               for r_e, p_e in pairs):
-            yield pattern
-
-
-def predicted_homogeneous_index(families: list[dict], pattern: dict,
-                                signature: tuple[str, ...]) -> tuple[int, ...]:
-    n_circle = sum(1 for s in signature if s == "Z")
-    idx = [0] * len(signature)
-    for fam in families:
-        r0, pairs = pattern[fam["part_index"]]
-        idx[fam["circle_slot"] - 1] = r0
-        for s, (r_e, p_e) in enumerate(pairs):
-            idx[n_circle + fam["slot_offset"] + s] = r_e - p_e
-    return tuple(idx)
-
-
-def verify_homogeneous_witnesses(families: list[dict], q: float,
-                                 budget: int = 4, tol: float = 1e-8) -> dict:
-    """Check the single-basis-vector pattern of every witness word with
-    total exponent <= budget."""
-    sig = families[0]["h0"].signature
-    report = {"patterns": 0, "failures": []}
-    for total in range(budget + 1):
-        for pattern in _homogeneous_patterns(families, total):
-            out = _apply_word(_pattern_word(families, pattern),
-                              qo.vacuum(sig), q)
-            support = _single_support(out, tol)
-            report["patterns"] += 1
-            if support != predicted_homogeneous_index(families, pattern, sig):
-                report["failures"].append({"pattern": repr(pattern),
-                                           "support": support})
-    report["ok"] = not report["failures"]
-    return report
+    return circle + pairs
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +520,15 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     """Witness/rank certificate for the homogeneous-space growth.
 
     The target exponent is the classical quotient dimension
-    2*length + n - m + 1.  For each sampled r the certificate checks the
-    witness-rank lower bound binom(r + target - 1, r)/2 within word length
-    2r (h_j = h0* g is a word of two generators), and the container upper
-    bound on the measured series.
+    2*length + n - m + 1, the number of witness letters.  Each witness of
+    total s is a word of at most 2s generators (h_j = h0* g), so the
+    admissible patterns of total <= r, once their words are independent,
+    put that many independent words of length <= 2r into the span: a lower
+    bound of degree target.  A row is ok when the witness rank equals that
+    count and the measured series stays under the container upper bound.
+    One pass over the totals up to max(r_max, witness_budget) checks the
+    landing of every witness up to the budget and ranks the words up to
+    r_max.
     """
     R = ParabolicSubset.homogeneous(n, m)
     w = weylb.longest_quotient_element(n, R)
@@ -599,35 +538,33 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     if target != dims["quotient_dim"]:
         raise AssertionError("target exponent disagrees with the dimension count")
 
-    families = homogeneous_witnesses(n, m, w)
-    wit = verify_homogeneous_witnesses(families, q, budget=witness_budget)
-    if not wit["ok"]:
-        raise CertificateFailure(f"witness verification failed: {wit['failures'][:3]}")
-
     series = algebra_growth(n, m, w, r_max, q, probe_cutoff=probe_cutoff,
                             basis_cap=basis_cap)
     d = dict(series.values)
-
-    rows = []
+    letters = homogeneous_witnesses(n, m, w)
+    sig = letters[0][0].signature
+    ident = qo.identity_operator(sig)
     ech = Echelon()
-    count = 0
-    ident = qo.identity_operator(families[0]["h0"].signature)
-    for r in range(0, r_max + 1):
-        # witness words with total exponent <= r have length <= 2r;
-        # their structural rank lower-bounds the span of words of that length
-        for pattern in _homogeneous_patterns(families, r):
+    witness_ok, lower, rows = True, 0, []
+    for r in range(max(r_max, witness_budget) + 1):
+        for _, index, word in _witness_shell(letters, sig, r):
+            if r <= witness_budget and _landing(word, sig, q) != index:
+                witness_ok = False
+            if r > r_max:
+                continue
+            lower += 1
             word_op = ident
-            for g in _pattern_word(families, pattern):
+            for g in word:
                 word_op = qo.compose(g, word_op)
             fp = qo.monomial_decomposition(word_op, q)
-            if fp and ech.add(fp) is not None:
-                count += 1
-        needed = math.ceil(math.comb(r + target - 1, r) / 2)
+            if fp:
+                ech.add(fp)
+        if r > r_max:
+            continue
         container = algebra_container_bound(n, m, w, r)
-        ok = count >= needed and d[r] <= container
-        rows.append({"r": r, "d": d[r], "lower": needed, "witness_rank": count,
-                     "upper": container, "ok": ok})
+        rows.append({"r": r, "d": d[r], "lower": lower,
+                     "witness_rank": len(ech), "upper": container,
+                     "ok": len(ech) == lower and d[r] <= container})
     est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
                                                         "slope": 0.0}
-    cert = GrowthCertificate(target, rows, True, est)
-    return series, cert
+    return series, GrowthCertificate(target, rows, witness_ok, est)

@@ -668,27 +668,3 @@ def equal_on_window(a: TensorOperator, b: TensorOperator, cutoff: int,
     mag = max(window_magnitude(a, cutoff, q), window_magnitude(b, cutoff, q))
     return dev < tol * (1.0 + mag)
 
-
-# ---------------------------------------------------------------------------
-# q arithmetic
-# ---------------------------------------------------------------------------
-
-def q_number(n: int, q: float) -> float:
-    """[n]_q = (q^n - q^-n) / (q - q^-1)."""
-    if n == 0:
-        return 0.0
-    return (q ** n - q ** (-n)) / (q - 1.0 / q)
-
-
-def q_factorial(n: int, q: float) -> float:
-    out = 1.0
-    for j in range(1, n + 1):
-        out *= q_number(j, q)
-    return out
-
-
-def q_binomial(n: int, m: int, q: float) -> float:
-    """Gaussian binomial via the balanced q-factorials."""
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return q_factorial(n, q) / (q_factorial(m, q) * q_factorial(n - m, q))

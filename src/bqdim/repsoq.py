@@ -201,11 +201,6 @@ def rep_table(spec: RepSpec) -> GeneratorImageTable:
     return table
 
 
-def star_image(table: GeneratorImageTable, k: int, l: int) -> TensorOperator:
-    """Image of the involute of v_l^k, realised as the operator adjoint."""
-    return qo.adjoint(table.entry(k, l))
-
-
 # ---------------------------------------------------------------------------
 # relation verification
 # ---------------------------------------------------------------------------

@@ -76,3 +76,17 @@ def w2_lengths():
 @pytest.fixture(scope="session")
 def w3_lengths():
     return bfs_lengths(3)
+
+
+@pytest.fixture
+def shifted_homogeneous_witness(monkeypatch):
+    """Negative control: growth.homogeneous_witnesses with its first letter
+    (the h0 circle letter) claiming the next slot."""
+    from bqdim import growth
+    real = growth.homogeneous_witnesses
+
+    def shifted(n, m, w):
+        (op, slot, step), *rest = real(n, m, w)
+        return [(op, slot + 1, step)] + rest
+
+    monkeypatch.setattr(growth, "homogeneous_witnesses", shifted)

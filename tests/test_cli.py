@@ -113,9 +113,10 @@ def test_diagram_paths(capsys):
                            capsys)
     data = json.loads(out)
     assert code == 0 and data["count"] == 2
-    code, _, _ = run_cli(["diagram", "paths", "--n", "3", "--word", "1",
-                          "--from", "0", "--to", "3"], capsys)
+    code, _, err = run_cli(["diagram", "paths", "--n", "3", "--word", "1",
+                            "--from", "0", "--to", "3"], capsys)
     assert code == 2
+    assert err == "error: node out of range 1..7\n"
 
 
 def test_gkdim_module(capsys, tmp_path):
@@ -143,6 +144,16 @@ def test_gkdim_homogeneous(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["target"] == 3 and data["ok"]
+
+
+def test_gkdim_homogeneous_witness_failure_exit_code(
+        capsys, shifted_homogeneous_witness):
+    code, out, err = run_cli(["gkdim", "homogeneous", "--n", "1", "--m", "1",
+                              "--rmax", "1", "--probe", "1"], capsys)
+    assert code == 4
+    assert '"witness_ok": false' in out
+    assert json.loads(out)["ok"] is False
+    assert err == ""
 
 
 def test_gkdim_budget_exit_code_with_partial_series(capsys):

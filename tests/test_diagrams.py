@@ -7,7 +7,6 @@ from bqdim import diagrams, qoperators as qo, repsoq, weylb
 from bqdim.diagrams import (
     Diagram,
     EmbeddingMap,
-    concatenate,
     diagram_for,
     embedding_chain,
     embedding_step,
@@ -58,12 +57,6 @@ def test_torus_layer():
 
 
 def test_concatenate_counts():
-    d1 = diagram_for(repsoq.RepSpec(3, (1, 2)))
-    d2 = diagram_for(repsoq.RepSpec(3, (3,)))
-    d = concatenate(d1, d2)
-    assert len(d.layers) == len(d1.layers) + len(d2.layers)
-    assert concatenate(d1, Diagram(())) == d1
-    assert concatenate(Diagram(()), d1) == d1
     assert diagram_for(repsoq.RepSpec(3, (1, 2, 3, 2, 1))).layers[1:] == \
         tuple(layer(("elementary", i), 3) for i in (1, 2, 3, 2, 1))
 

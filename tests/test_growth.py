@@ -94,29 +94,46 @@ def test_upper_bound_check_rows():
 
 
 def test_witness_last_part_single_letters():
-    # depth-two raising family of the one-letter element
-    fam = growth.witness_chain(weylb.from_word((1,), 2), 2)[-1]
-    assert len(fam.operators) == 1
-    vec = qo.vacuum(("N",))
+    # depth-two raising letter of the one-letter element
+    letters = growth.witness_chain(weylb.from_word((1,), 2), 2)
+    assert len(letters) == 1
+    op, slot, step = letters[-1]
+    assert (slot, step) == (0, 1)
     for z in range(1, 4):
-        vec_z = growth._apply_word([fam.operators[0]] * z, qo.vacuum(("N",)), Q)
+        vec_z = growth._apply_word([op] * z, qo.vacuum(("N",)), Q)
         assert set(vec_z.entries) == {(z,)}
 
 
 def test_witness_case_split_with_middle_letter():
     # the one-letter rank-one element needs the single-raising column
-    fam = growth.witness_chain(weylb.from_word((1,), 1), 1)[-1]
-    assert fam.columns == [(3, 2)]
-    vec = growth._apply_word([fam.operators[0]] * 3, qo.vacuum(("N",)), Q)
+    letters = growth.witness_chain(weylb.from_word((1,), 1), 1)
+    table = repsoq.rep_table(RepSpec(1, (1,)))
+    assert [(op.key(), slot, step) for op, slot, step in letters] == \
+        [(table.entry(3, 2).key(), 0, 1)]
+    vec = growth._apply_word([letters[-1][0]] * 3, qo.vacuum(("N",)), Q)
     assert set(vec.entries) == {(3,)}
 
 
 def test_witness_long_part_permutation():
-    # length-3 part at rank 2: reversal permutation on the middle range
+    # length-3 part at rank 2: reversal permutation on the middle range,
+    # letters in descending column order of row 5
     w = weylb.from_word((1, 2, 1), 2)
-    fam = growth.witness_chain(w, 2)[-1]
-    assert fam.sigma == [3, 2, 1]
-    assert [c for c, _ in fam.columns] == [5, 5, 5]
+    letters = growth.witness_chain(w, 2)
+    assert [slot for _, slot, _ in letters] == [0, 1, 2]
+    table = repsoq.rep_table(RepSpec(2, weylb.normal_form(w).word()))
+    assert [op.key() for op, _, _ in letters] == \
+        [table.entry(5, l).key() for l in (4, 3, 2)]
+
+
+def test_verify_witnesses_flags_shifted_slot():
+    # negative control: a letter that claims the wrong slot must fail
+    letters = growth.witness_chain(weylb.from_word((1, 2), 2), 2)
+    assert growth.verify_witnesses(letters, ("N", "N"), Q, budget=2)["ok"]
+    (op, slot, step), *rest = letters
+    rep = growth.verify_witnesses([(op, (slot + 1) % 2, step)] + rest,
+                                  ("N", "N"), Q, budget=2)
+    assert not rep["ok"]
+    assert rep["failures"]
 
 
 @pytest.mark.parametrize("word,n", [((1,), 2), ((2,), 2), ((1, 2), 2),
@@ -154,7 +171,8 @@ def test_embedded_operators_act_on_own_part():
     w = weylb.from_word((2, 1, 2), 2)
     # on vacuum tails the depth-one raising operator acts inside the first
     # part only
-    op = growth.witness_chain(w, 2)[0].operators[0]
+    op, slot, _ = growth.witness_chain(w, 2)[0]
+    assert slot == 0
     sig = ("N", "N", "N")
     for a in range(3):
         probe = qo.basis_vector(sig, (a, 0, 0))
@@ -237,29 +255,30 @@ def test_homogeneous_rep_restricted_rows():
 @pytest.mark.parametrize("n,m,word", [(1, 1, (1,)), (2, 2, (1, 2, 1))])
 def test_homogeneous_witness_patterns(n, m, word):
     w = weylb.from_word(word, n)
-    fams = growth.homogeneous_witnesses(n, m, w)
-    rep = growth.verify_homogeneous_witnesses(fams, Q, budget=4)
+    letters = growth.homogeneous_witnesses(n, m, w)
+    sig = growth.homogeneous_rep(n, m, w).signature
+    rep = growth.verify_witnesses(letters, sig, Q, budget=4)
     assert rep["ok"], rep["failures"][:3]
     assert rep["patterns"] > 1
 
 
 def test_homogeneous_witness_independence_fingerprints():
     w = weylb.from_word((1,), 1)
-    fams = growth.homogeneous_witnesses(1, 1, w)
-    eta = growth.homogeneous_rep(1, 1, w)
+    letters = growth.homogeneous_witnesses(1, 1, w)
+    sig = growth.homogeneous_rep(1, 1, w).signature
     ech = growth.Echelon()
     added = 0
     for total in range(4):
-        for pattern in growth._homogeneous_patterns(fams, total):
-            op = qo.identity_operator(eta.signature)
-            for g in growth._pattern_word(fams, pattern):
+        for _, _, word in growth._witness_shell(letters, sig, total):
+            op = qo.identity_operator(sig)
+            for g in word:
                 op = qo.compose(g, op)
             fp = qo.monomial_decomposition(op, Q)
             if fp and ech.add(fp) is not None:
                 added += 1
     # distinct patterns are linearly independent operator words
     n_patterns = sum(1 for t in range(4)
-                     for _ in growth._homogeneous_patterns(fams, t))
+                     for _ in growth._witness_shell(letters, sig, t))
     assert added == n_patterns
 
 
@@ -346,7 +365,7 @@ def test_homogeneous_certificate_n2():
     assert cert.target == 7
     assert cert.ok
     assert cert.target == weylb.classical_dimensions(2, 2)["quotient_dim"]
-    # the r = 2 row certifies at least ceil(C(8,2)/2) = 14 independent words
+    # the r = 2 row ranks at least 14 independent witness words
     assert cert.rows[2]["witness_rank"] >= 14
 
 
@@ -355,11 +374,17 @@ def test_homogeneous_multi_family_chain():
     lower one acting through the embedded depth-one operators."""
     R = weylb.ParabolicSubset.homogeneous(2, 1)
     w = weylb.longest_quotient_element(2, R)
-    fams = growth.homogeneous_witnesses(2, 1, w)
-    assert [f["part_index"] for f in fams] == [1, 2]
-    assert [f["circle_slot"] for f in fams] == [2, 1]
-    assert [len(f["h"]) for f in fams] == [1, 3]
-    rep = growth.verify_homogeneous_witnesses(fams, Q, budget=3)
+    letters = growth.homogeneous_witnesses(2, 1, w)
+    sig = growth.homogeneous_rep(2, 1, w).signature
+    assert sig == ("Z", "Z", "N", "N", "N", "N")
+    # the h0 letters come first: depth one drives circle slot 1, depth two 0
+    assert [slot for _, slot, _ in letters if sig[slot] == "Z"] == [1, 0]
+    # raising letters per part: part 1 owns shift slot 2, part 2 slots 3..5
+    raising = [slot for _, slot, step in letters
+               if step == 1 and sig[slot] == "N"]
+    assert [sum(s < 3 for s in raising), sum(s >= 3 for s in raising)] == \
+        [1, 3]
+    rep = growth.verify_witnesses(letters, sig, Q, budget=3)
     assert rep["ok"], rep["failures"][:3]
 
 
@@ -428,3 +453,23 @@ def test_probe_and_witness_rank_series():
                                               (3, 74)]
     _, cert = growth.homogeneous_certificate(1, 1, 3, Q, probe_cutoff=3)
     assert [row["witness_rank"] for row in cert.rows] == [1, 3, 7, 13]
+
+
+@pytest.mark.parametrize("n,m,r_max,lower", [(1, 1, 3, [1, 3, 7, 13]),
+                                             (2, 2, 3, [1, 5, 18, 50]),
+                                             (2, 1, 2, [1, 7, 32])])
+def test_homogeneous_lower_counts_witness_patterns(n, m, r_max, lower):
+    """The row lower bound is the number of admissible witness patterns of
+    total <= r, a count of degree target, and every row ranks them all."""
+    _, cert = growth.homogeneous_certificate(n, m, r_max, Q, probe_cutoff=1)
+    assert [row["lower"] for row in cert.rows] == lower
+    assert [row["witness_rank"] for row in cert.rows] == lower
+    assert cert.ok
+
+
+def test_homogeneous_certificate_reports_witness_failure(
+        shifted_homogeneous_witness):
+    _, cert = growth.homogeneous_certificate(1, 1, 1, Q, probe_cutoff=1,
+                                             witness_budget=2)
+    assert cert.witness_ok is False
+    assert cert.ok is False

@@ -173,23 +173,6 @@ def test_bilateral_shift_is_invertible():
                               qo.identity_operator(["Z"]), 4, Q)
 
 
-def test_q_numbers():
-    assert qo.q_number(1, Q) == pytest.approx(1.0)
-    assert qo.q_number(2, Q) == pytest.approx(2.5)
-    assert qo.q_binomial(2, 1, Q) == pytest.approx(qo.q_number(2, Q))
-    with pytest.raises(ValueError):
-        qo.q_binomial(2, 3, Q)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_q_binomial_recurrence(n):
-    for m in range(1, n):
-        lhs = qo.q_binomial(n, m, Q)
-        rhs = (Q ** m * qo.q_binomial(n - 1, m, Q)
-               + Q ** (-(n - m)) * qo.q_binomial(n - 1, m - 1, Q))
-        assert lhs == pytest.approx(rhs)
-
-
 def test_render_is_readable():
     a_dn = qo.product(qo.sqrt_radical(4, 4), qo.shift_down())
     assert a_dn.render() == "sqrt(1-q^{4N+4})*S"

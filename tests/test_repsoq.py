@@ -155,7 +155,7 @@ def test_orthogonality_convolved_word():
 
 def test_star_image():
     t = elementary_table(1, 2)
-    adj = repsoq.star_image(t, 1, 1)
+    adj = qo.adjoint(t.entry(1, 1))
     expected = qo.elementary_tensor(
         [qo.product(qo.shift_up(), qo.sqrt_radical(4, 4))])
     assert qo.max_window_deviation(adj, expected, 5, Q) < 1e-12
