@@ -4,11 +4,15 @@ One span engine computes every series.  It iterates a frontier: every
 generator acts on the newest basis elements of the span of words applied
 to a start element, and the fingerprints of the results are rank-reduced
 by sparse Gaussian elimination with a canonical pivot order.  Module growth
-runs it on vectors, from the vacuum.  Algebra growth runs it on operator
-words kept in closed symbolic form; their rank is exact because each word
-expands over structurally independent monomials.  It runs once more on the
-action of the words on a window of probe vectors, whose rank is recorded
-alongside as a lower-bound cross-check.
+runs it on vectors, from the vacuum, through a kernel compiled once per run
+at fixed q: basis indices are flat integers, every coefficient is evaluated
+once, and a block of frontier vectors is expanded by gather and
+scatter-add, with the rounding and the drops of apply_operator.  Algebra
+growth runs it on operator words kept in closed symbolic form; their rank
+is exact because each word expands over structurally independent
+monomials.  It runs once more on the action of the words on a window of
+probe vectors, whose rank is recorded alongside as a lower-bound
+cross-check.
 
 Lower bounds are certified by explicit witness words.  A witness system is
 a list of letters (operator, slot, step) that raise or lower one tensor
@@ -17,8 +21,10 @@ embedding maps, in the module case; the circle driver h0 and the pairs
 h_j = h0* g, h_j* in the homogeneous case.  One pattern shell enumerates
 the exponent patterns with their predicted basis index and word, and one
 pass over it checks that each word lands on its index, counts the patterns
-(the lower bound) and, in the homogeneous case, ranks the words.  Upper
-bounds come from the window-size count (module case) and a per-slot
+(the lower bound) and, in the homogeneous case, ranks the words; witness
+landing stays on symbolic apply_operator, independent of the kernel.
+Upper bounds come from the window read off the table, prod_s (D_s r + 1)
+with D_s the largest shift on slot s (module case), and a per-slot
 container count (algebra case).
 """
 
@@ -26,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import diagrams, qoperators as qo, repsoq, weylb
 from .qoperators import SparseVector, TensorOperator
@@ -110,14 +118,15 @@ class GrowthSeries:
         return [d for _, d in self.values]
 
 
-def _span_series(start, gens: list[TensorOperator], act, fingerprint,
-                 r_max: int, basis_cap: int, context: dict) -> GrowthSeries:
-    """Rank series of the span of act-words of length <= r applied to start.
+def _span_series(start, expand, fingerprint, r_max: int, basis_cap: int,
+                 context: dict) -> GrowthSeries:
+    """Rank series of the span of words of length <= r applied to start.
 
-    Every generator acts (act(g, x)) on each element of the frontier; a
-    result whose fingerprint is nonzero and independent of the span so far
-    joins the next frontier.  Past basis_cap the series up to the previous
-    step rides on the BudgetExceeded error.
+    expand(frontier) yields the image of every frontier element under every
+    generator, in (element, generator) order; a result whose fingerprint is
+    nonzero and independent of the span so far joins the next frontier.
+    Past basis_cap the series up to the previous step rides on the
+    BudgetExceeded error.
     """
     ech = Echelon()
     ech.add(fingerprint(start))
@@ -125,7 +134,7 @@ def _span_series(start, gens: list[TensorOperator], act, fingerprint,
     values = [(0, len(ech))]
     for r in range(1, r_max + 1):
         new_frontier = []
-        for out in (act(g, x) for x in frontier for g in gens):
+        for out in expand(frontier):
             fp = fingerprint(out)
             if fp and ech.add(fp) is not None:
                 new_frontier.append(out)
@@ -156,17 +165,159 @@ def homogeneous_generators(eta: GeneratorImageTable, n: int, m: int
     return gens
 
 
+# (frontier entry, term combination) cells per numpy pass: bounds the
+# temporaries while keeping the per-pass overhead small
+_BLOCK_CELLS = 8192
+
+
+class ModuleKernel:
+    """The generators of a module at fixed q, compiled for the span series.
+
+    A basis index reached by words of length <= r_max has k_s <= D_s r_max
+    on slot s, where D_s is the largest shift the generators make there.
+    It is encoded as one integer in mixed radix D_s r_max + 1, slot 0 most
+    significant, so integer order is tuple order and Echelon pivots as it
+    does on tuples.  A frontier element is a pair (keys, amplitudes) of
+    arrays; expand applies every generator to a block of elements at once
+    by gather, shift and scatter-add over the compiled table.  Each image
+    equals apply_operator's on the same vector: the same entries in the
+    same order, rounded the same way, with the same entries dropped.
+    """
+
+    def __init__(self, gens: list[TensorOperator], q: float, r_max: int):
+        self.shift_bounds = qo.shift_bounds(gens)
+        self.radices = [d * r_max + 1 for d in self.shift_bounds]
+        self.size = math.prod(self.radices)
+        self.n_gens = len(gens)
+        # block composite keys (candidate, index) must fit in int64; a block
+        # holds at most _BLOCK_CELLS elements
+        if _BLOCK_CELLS * self.n_gens * self.size > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"index space of {self.size} keys is too large for int64 "
+                f"block keys at r_max={r_max}")
+        self.strides = [math.prod(self.radices[s + 1:])
+                        for s in range(len(self.radices))]
+        self.table = qo.compile_table(gens, q, max(self.radices, default=1))
+        self._shift_key = self.table.shift @ np.array(self.strides,
+                                                      dtype=np.int64)
+        self._block_entries = max(1, _BLOCK_CELLS // len(self._shift_key))
+        self._has_nan = bool(np.isnan(self.table.coefficients).any())
+
+    def encode(self, vec: SparseVector) -> tuple[np.ndarray, np.ndarray]:
+        """The frontier element of a vector inside the window."""
+        if len(vec.signature) != len(self.radices):
+            raise ValueError("signature mismatch")
+        keys = []
+        for index in vec.entries:
+            if not all(0 <= k < b for k, b in zip(index, self.radices)):
+                raise ValueError(f"index {index} is outside the window "
+                                 f"{self.radices}")
+            keys.append(sum(k * st for k, st in zip(index, self.strides)))
+        return (np.array(keys, dtype=np.int64),
+                np.array(list(vec.entries.values()), dtype=complex))
+
+    @staticmethod
+    def fingerprint(x: tuple[np.ndarray, np.ndarray]) -> dict:
+        return dict(zip(x[0].tolist(), x[1].tolist()))
+
+    def expand(self, frontier):
+        """Yield (keys, amplitudes) of every generator applied to every
+        frontier element, in (element, generator) order."""
+        block, entries = [], 0
+        for x in frontier:
+            if block and entries + len(x[0]) > self._block_entries:
+                yield from self._expand_block(block)
+                block, entries = [], 0
+            block.append(x)
+            entries += len(x[0])
+        if block:
+            yield from self._expand_block(block)
+
+    def _expand_block(self, block):
+        t = self.table
+        keys = np.concatenate([k for k, _ in block])
+        amps = np.concatenate([a for _, a in block])
+        owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
+        digits = [keys // stride % radix
+                  for stride, radix in zip(self.strides, self.radices)]
+        for k, radix, d in zip(digits, self.radices, self.shift_bounds):
+            if (k >= radix - d).any():
+                raise ValueError("a frontier index has images outside the "
+                                 "window; expand only words of length < "
+                                 "r_max")
+        # (entry, combination) cells whose target index exists on every slot
+        live = np.ones((len(keys), len(t.scalar)), dtype=bool)
+        for s, k in enumerate(digits):
+            reached = k[:, None] >= t.shift[:, s]
+            # apply_operator evaluates every coefficient whose slot target
+            # exists, so a NaN there is a domain error
+            if self._has_nan and np.isnan(
+                    t.coefficients[t.term[:, s], k[:, None]][reached]).any():
+                raise qo.QDomainError(
+                    f"negative radicand exponent on slot {s} in the window")
+            live &= reached
+        e, c = np.nonzero(live)
+        # products in apply_operator's order, in real arithmetic, which
+        # rounds as Python's complex product does; as in apply_index, a path
+        # through a vanishing coefficient adds nothing
+        a_re, a_im, s_re, s_im = (amps.real[e], amps.imag[e],
+                                  t.scalar.real[c], t.scalar.imag[c])
+        re, im = a_re * s_re - a_im * s_im, a_re * s_im + a_im * s_re
+        nonzero = np.ones(len(e), dtype=bool)
+        for s, k in enumerate(digits):
+            rows, ks = t.term[c, s], k[e]
+            c_re = t.coefficients.real[rows, ks]
+            c_im = t.coefficients.imag[rows, ks]
+            nonzero &= (c_re != 0) | (c_im != 0)
+            re, im = re * c_re - im * c_im, re * c_im + im * c_re
+        e, c, re, im = e[nonzero], c[nonzero], re[nonzero], im[nonzero]
+        # scatter-add per (candidate, target), in input order like a dict
+        cand = owner[e] * self.n_gens + t.operator[c]
+        uniq, first, inv = np.unique(
+            cand * self.size + keys[e] - self._shift_key[c],
+            return_index=True, return_inverse=True)
+        sums = np.bincount(inv, weights=re, minlength=len(uniq)) + 0j
+        sums.imag = np.bincount(inv, weights=im, minlength=len(uniq))
+        cand, target = np.divmod(uniq, self.size)
+        # SparseVector.cleaned per candidate: drop relative to its own max
+        mag = np.hypot(sums.real, sums.imag)
+        if len(mag):
+            starts = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]])
+            scale = np.maximum.reduceat(mag, starts)
+            keep = mag > qo.DROP_TOL * np.repeat(
+                scale, np.diff(np.r_[starts, len(mag)]))
+            cand, target, sums, first = (cand[keep], target[keep],
+                                         sums[keep], first[keep])
+        # every image lists its indices in the order of their first
+        # contribution, as apply_operator's dict does, so the next step
+        # sums in the same order
+        order = np.lexsort((first, cand))
+        cand, target, sums = cand[order], target[order], sums[order]
+        bounds = np.searchsorted(cand, np.arange(len(block) * self.n_gens + 1))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            yield target[a:b].copy(), sums[a:b].copy()
+
+
+def _module_kernel(spec: RepSpec, r_max: int, q: float) -> ModuleKernel:
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
+    return ModuleKernel(module_generators(repsoq.rep_table(spec)), q, r_max)
+
+
+def _kernel_series(kernel: ModuleKernel, spec: RepSpec, r_max: int,
+                   basis_cap: int) -> GrowthSeries:
+    sig = (qo.UNILATERAL,) * len(kernel.radices)
+    return _span_series(kernel.encode(qo.vacuum(sig)), kernel.expand,
+                        kernel.fingerprint, r_max, basis_cap,
+                        {"kind": "module", "n": spec.n,
+                         "word": list(spec.word)})
+
+
 def module_growth(spec: RepSpec, r_max: int, q: float,
                   basis_cap: int = 20000) -> GrowthSeries:
     """Dimension series of span{words of length <= r applied to the vacuum}."""
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
-    table = repsoq.rep_table(spec)
-    return _span_series(qo.vacuum(table.signature), module_generators(table),
-                        lambda g, v: qo.apply_operator(g, v, q),
-                        lambda v: v.entries, r_max, basis_cap,
-                        {"kind": "module", "n": spec.n,
-                         "word": list(spec.word)})
+    return _kernel_series(_module_kernel(spec, r_max, q), spec, r_max,
+                          basis_cap)
 
 
 def exponent_estimate(series: GrowthSeries) -> dict:
@@ -190,9 +341,6 @@ def exponent_estimate(series: GrowthSeries) -> dict:
         if var > 0:
             slope = sum((x - mx) * (y - my) for x, y in pts) / var
     return {"log_ratio": log_ratio, "slope": slope}
-
-
-SHIFT_EXPONENT_BOUND = 2   # no table entry moves one slot index by more
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +501,8 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     if lw != len(spec.word):
         raise ValueError("word is not reduced; certificate needs a reduced word")
     canonical = RepSpec(n, weylb.normal_form(w).word(), spec.t)
-    series = module_growth(canonical, r_max, q, basis_cap=basis_cap)
+    kernel = _module_kernel(canonical, r_max, q)
+    series = _kernel_series(kernel, canonical, r_max, basis_cap)
     series.context["input_word"] = list(spec.word)
     d = dict(series.values)
     letters, sig = witness_chain(w, n), ("N",) * lw
@@ -367,7 +516,7 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
         if r > r_max:
             continue
         lower = math.comb(r + lw, lw)
-        upper = (SHIFT_EXPONENT_BOUND * r + 1) ** lw
+        upper = math.prod(d * r + 1 for d in kernel.shift_bounds)
         rows.append({"r": r, "d": d[r], "lower": lower, "upper": upper,
                      "ok": reached == lower and lower <= d[r] <= upper})
     est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
@@ -482,13 +631,17 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
     gens = homogeneous_generators(eta, n, m)
     sig = eta.signature
     context = {"kind": "homogeneous", "n": n, "m": m}
-    values = _span_series(qo.identity_operator(sig), gens, qo.compose,
-                          lambda op: qo.monomial_decomposition(op, q),
-                          r_max, basis_cap, context).values
+    values = _span_series(
+        qo.identity_operator(sig),
+        lambda frontier: (qo.compose(g, x) for x in frontier for g in gens),
+        lambda op: qo.monomial_decomposition(op, q),
+        r_max, basis_cap, context).values
     probes = [qo.basis_vector(sig, p) for p in sorted(
         p for t in range(probe_cutoff + 1) for p in _compositions(len(sig), t))]
     probe_values = _span_series(
-        probes, gens, lambda g, outs: [qo.apply_operator(g, v, q) for v in outs],
+        probes,
+        lambda frontier: ([qo.apply_operator(g, v, q) for v in outs]
+                          for outs in frontier for g in gens),
         lambda outs: {(i, key): amp for i, out in enumerate(outs)
                       for key, amp in out.entries.items()},
         r_max, basis_cap, context).values

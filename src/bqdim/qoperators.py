@@ -17,6 +17,7 @@ boundary-vanishing shifts exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -485,6 +486,76 @@ def apply_operator(op: TensorOperator, vec: SparseVector, q: float) -> SparseVec
 def inner(u: SparseVector, v: SparseVector) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
     return sum(a.conjugate() * v.entries.get(k, 0j) for k, a in u.entries.items())
+
+
+# ---------------------------------------------------------------------------
+# compiled operator tables
+# ---------------------------------------------------------------------------
+
+def shift_bounds(ops: list[TensorOperator]) -> tuple[int, ...]:
+    """Per slot, the largest |shift degree| of any term of the operators."""
+    bounds = [0] * len(ops[0].signature)
+    for op in ops:
+        for _, factors in op.summands:
+            for slot, f in enumerate(factors):
+                for d, _ in f.terms:
+                    bounds[slot] = max(bounds[slot], abs(d))
+    return tuple(bounds)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledTable:
+    """Operators on unilateral slots expanded into term combinations at a
+    fixed q, with every coefficient evaluated once.
+
+    A combination picks one term per slot of one summand of operator
+    `operator[c]`; it sends e_k to
+
+        scalar[c] * prod_s coefficients[term[c, s], k_s] * e_{k - shift[c]}
+
+    when every k_s - shift[c, s] >= 0, for indices 0 <= k_s < width.
+    Combinations follow apply_operator's order: operators, then summands,
+    then the cartesian product of slot terms with slot 0 outermost.  NaN
+    marks an index where Coefficient.evaluate raises QDomainError.
+    """
+
+    operator: np.ndarray       # (C,) int
+    scalar: np.ndarray         # (C,) complex
+    shift: np.ndarray          # (C, slots) int
+    term: np.ndarray           # (C, slots) int, rows of coefficients
+    coefficients: np.ndarray   # (distinct coefficients, width) complex
+
+
+def _evaluate_or_nan(c: Coefficient, k: int, q: float) -> complex:
+    try:
+        return c.evaluate(k, q)
+    except QDomainError:
+        return complex(math.nan, math.nan)
+
+
+def compile_table(ops: list[TensorOperator], q: float,
+                  width: int) -> CompiledTable:
+    """The term combinations of ops, coefficients over 0..width-1."""
+    if any(kind != UNILATERAL for op in ops for kind in op.signature):
+        raise ValueError("compiled tables act on unilateral slots only")
+    rows: dict[Coefficient, int] = {}
+    operator, scalar, shift, term = [], [], [], []
+    for g, op in enumerate(ops):
+        for s, factors in op.summands:
+            for combo in itertools.product(*(f.terms for f in factors)):
+                operator.append(g)
+                scalar.append(s)
+                shift.append([d for d, _ in combo])
+                term.append([rows.setdefault(c, len(rows)) for _, c in combo])
+    coefficients = np.zeros((len(rows), width), dtype=complex)
+    for c, row in rows.items():
+        coefficients[row] = [_evaluate_or_nan(c, k, q) for k in range(width)]
+    shape = (len(operator), len(ops[0].signature))
+    return CompiledTable(np.array(operator, dtype=np.int64),
+                         np.array(scalar, dtype=complex),
+                         np.array(shift, dtype=np.int64).reshape(shape),
+                         np.array(term, dtype=np.int64).reshape(shape),
+                         coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,16 @@ def test_upper_bound_check_rows():
     assert all(row["d"] <= row["upper"] for row in cert.rows)
 
 
+@pytest.mark.parametrize("word,upper", [
+    ((1,), lambda r: r + 1),
+    ((1, 2), lambda r: (r + 1) * (2 * r + 1))])
+def test_module_upper_reads_shift_bounds_off_table(word, upper):
+    # upper = prod_s (D_s r + 1) with D_s the largest shift on slot s:
+    # D = 1 on a low-letter slot, 2 on a middle-letter slot
+    _, cert = growth.module_certificate(RepSpec(2, word), 5, Q)
+    assert [row["upper"] for row in cert.rows] == [upper(r) for r in range(6)]
+
+
 def test_witness_last_part_single_letters():
     # depth-two raising letter of the one-letter element
     letters = growth.witness_chain(weylb.from_word((1,), 2), 2)
@@ -205,6 +215,16 @@ def test_module_certificate_sandwich(word):
 def test_module_certificate_rejects_nonreduced():
     with pytest.raises(ValueError):
         growth.module_certificate(RepSpec(2, (1, 1)), 4, Q)
+
+
+def test_module_certificate_rank_three_longest_element():
+    # w0 of B_3, length 9; the series was computed on the symbolic
+    # apply_operator path before the compiled kernel replaced it
+    series, cert = growth.module_certificate(
+        RepSpec(3, (3, 2, 3, 2, 1, 2, 3, 2, 1)), 4, Q)
+    assert cert.target == 9
+    assert cert.ok
+    assert series.dims() == [1, 19, 173, 1030, 4651]
 
 
 def test_module_certificate_rank_three_word():

@@ -1,0 +1,131 @@
+"""The compiled module kernel against symbolic application.
+
+growth.ModuleKernel expands a frontier by gather and scatter-add over
+qoperators.compile_table; qoperators.apply_operator is the oracle, entry
+by entry, including the entries SparseVector.cleaned drops.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bqdim import growth, qoperators as qo, repsoq
+from bqdim.repsoq import RepSpec
+
+from test_acceptance import MODULE_WORDS
+
+Q = 0.5
+R_MAX = 4
+WORDS = [(2, word) for word in MODULE_WORDS] + [(3, (1, 2, 3, 2, 1))]
+
+
+# plain shifts, whose coefficients do not vanish at the boundary: only the
+# shift mask keeps their images off negative indices
+BARE = [qo.elementary_tensor([a, b]) for a, b in (
+    (qo.shift_down(), qo.identity_shift()),
+    (qo.identity_shift(), qo.shift_down()),
+    (qo.shift_up(), qo.product(qo.shift_down(), qo.shift_down())),
+    (qo.shift_down().add(qo.q_power(1, 0)), qo.shift_up()))]
+CASES = WORDS + ["bare shifts"]
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    """Generators and kernel per case; words at a non-trivial torus point."""
+    out = {"bare shifts": (BARE, growth.ModuleKernel(BARE, Q, R_MAX))}
+    for n, word in WORDS:
+        torus = tuple(cmath.exp(0.7j * (i + 1)) for i in range(n))
+        gens = growth.module_generators(
+            repsoq.rep_table(RepSpec(n, word, torus)))
+        out[n, word] = gens, growth.ModuleKernel(gens, Q, R_MAX)
+    return out
+
+
+def _vectors(kernel):
+    """Frontiers of sparse vectors whose images stay in the window.
+
+    Amplitudes span 20 decades, so the relative drop of
+    SparseVector.cleaned removes entries in many images."""
+    index = st.tuples(*(st.integers(0, d * (R_MAX - 1))
+                        for d in kernel.shift_bounds))
+    amp = st.builds(lambda e, phase: 10.0 ** -e * cmath.exp(1j * phase),
+                    st.sampled_from([0, 6, 13, 20]),
+                    st.floats(-3.2, 3.2))
+    sig = (qo.UNILATERAL,) * len(kernel.radices)
+    vec = st.dictionaries(index, amp, min_size=1, max_size=50).map(
+        lambda entries: qo.SparseVector(sig, entries))
+    return st.lists(vec, min_size=1, max_size=3)
+
+
+def _decoded(kernel, keys, amps) -> dict:
+    index = np.array(np.unravel_index(keys, kernel.radices)).T.tolist()
+    return dict(zip(map(tuple, index), amps.tolist()))
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_candidates_equal_apply_operator(kernels, case, data):
+    gens, kernel = kernels[case]
+    frontier = data.draw(_vectors(kernel))
+    candidates = list(kernel.expand([kernel.encode(v) for v in frontier]))
+    assert len(candidates) == len(frontier) * len(gens)
+    expected = [qo.apply_operator(g, v, Q).entries
+                for v in frontier for g in gens]
+    for want, (keys, amps) in zip(expected, candidates):
+        got = _decoded(kernel, keys, amps)
+        assert list(got) == list(want)      # same entries, same order
+        scale = max((abs(a) for a in want.values()), default=0.0)
+        for key, a in want.items():
+            assert abs(got[key] - a) <= 1e-12 * scale
+
+
+def test_kernel_raises_where_evaluate_raises():
+    # sqrt(1 - q^(N-2)) has a negative radicand at N = 0, 1 and vanishes at 2
+    op = qo.elementary_tensor([qo.product(qo.shift_up(),
+                                          qo.sqrt_radical(1, -2))])
+    kernel = growth.ModuleKernel([op], Q, 4)
+    for index in [(0,), (1,)]:
+        vec = qo.basis_vector(("N",), index)
+        with pytest.raises(qo.QDomainError):
+            qo.apply_operator(op, vec, Q)
+        with pytest.raises(qo.QDomainError):
+            list(kernel.expand([kernel.encode(vec)]))
+    vec = qo.SparseVector(("N",), {(2,): 1.0 + 0j, (3,): 0.5j})
+    [(keys, amps)] = kernel.expand([kernel.encode(vec)])
+    assert _decoded(kernel, keys, amps) == \
+        qo.apply_operator(op, vec, Q).entries
+
+
+def test_kernel_refuses_an_index_space_beyond_int64():
+    # 9^30 indices on 30 slots at r_max = 8; refused before any table is
+    # evaluated or allocated
+    op = qo.elementary_tensor([qo.shift_up()] * 30)
+    with pytest.raises(ValueError, match="int64"):
+        growth.ModuleKernel([op], Q, 8)
+
+
+def test_kernel_refuses_circle_slots():
+    op = qo.elementary_tensor([qo.shift_up(qo.BILATERAL)])
+    with pytest.raises(ValueError, match="unilateral"):
+        growth.ModuleKernel([op], Q, 2)
+
+
+def test_kernel_refuses_an_index_outside_the_window():
+    # at r_max = 2 the window is 0..2 and only 0..1 may be expanded
+    gens = growth.module_generators(repsoq.rep_table(RepSpec(2, (1,))))
+    kernel = growth.ModuleKernel(gens, Q, 2)
+    with pytest.raises(ValueError, match="window"):
+        kernel.encode(qo.basis_vector(("N",), (3,)))
+    last = kernel.encode(qo.basis_vector(("N",), (2,)))
+    with pytest.raises(ValueError, match="window"):
+        list(kernel.expand([last]))
+
+
+def test_kernel_encode_checks_the_signature():
+    gens = growth.module_generators(repsoq.rep_table(RepSpec(2, (1,))))
+    kernel = growth.ModuleKernel(gens, Q, 2)
+    with pytest.raises(ValueError, match="signature"):
+        kernel.encode(qo.vacuum(("N", "N")))
