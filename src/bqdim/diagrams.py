@@ -172,10 +172,6 @@ class EmbeddingMap:
     def __call__(self, j: int) -> int:
         return self.mapping[j]
 
-    @property
-    def domain(self) -> range:
-        return node_window(self.n, self.k)
-
 
 def embedding_step(part_words: list[Word], i: int, n: int) -> EmbeddingMap:
     """The one-step map from depth i to depth i+1.

@@ -185,6 +185,8 @@ class ModuleKernel:
     """
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int):
+        if any(kind != qo.UNILATERAL for op in gens for kind in op.signature):
+            raise ValueError("the module kernel acts on unilateral slots only")
         self.shift_bounds = qo.shift_bounds(gens)
         self.radices = [d * r_max + 1 for d in self.shift_bounds]
         self.size = math.prod(self.radices)
@@ -197,7 +199,8 @@ class ModuleKernel:
                 f"block keys at r_max={r_max}")
         self.strides = [math.prod(self.radices[s + 1:])
                         for s in range(len(self.radices))]
-        self.table = qo.compile_table(gens, q, max(self.radices, default=1))
+        self.table = qo.compile_table(gens, q,
+                                      range(max(self.radices, default=1)))
         self._shift_key = self.table.shift @ np.array(self.strides,
                                                       dtype=np.int64)
         self._block_entries = max(1, _BLOCK_CELLS // len(self._shift_key))
@@ -492,8 +495,9 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     reduced word of the element, so the raising letters line up with the
     tensor slots.  Each witness of total s is a word of s generator images
     (A = 1), so the patterns of total <= r put binom(r + l, l) distinct
-    basis vectors into the span of words of length <= r; one pass over the
-    totals up to max(r_max, witness_budget) checks them all.
+    basis vectors into the span of words of length <= r.  One
+    verify_witnesses call over the totals up to max(r_max, witness_budget)
+    checks them all; row r needs every pattern of total <= r to land.
     """
     n = spec.n
     w = weylb.from_word(spec.word, n)
@@ -505,23 +509,20 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     series = _kernel_series(kernel, canonical, r_max, basis_cap)
     series.context["input_word"] = list(spec.word)
     d = dict(series.values)
-    letters, sig = witness_chain(w, n), ("N",) * lw
-    witness_ok, reached, rows = True, 0, []
-    for r in range(max(r_max, witness_budget) + 1):
-        for _, index, word in _witness_shell(letters, sig, r):
-            if _landing(word, sig, q) == index:
-                reached += 1
-            elif r <= witness_budget:
-                witness_ok = False
-        if r > r_max:
-            continue
+    report = verify_witnesses(witness_chain(w, n), ("N",) * lw, q,
+                              max(r_max, witness_budget))
+    first_failure = min((sum(f["exponents"]) for f in report["failures"]),
+                        default=math.inf)
+    rows = []
+    for r in range(r_max + 1):
         lower = math.comb(r + lw, lw)
         upper = math.prod(d * r + 1 for d in kernel.shift_bounds)
         rows.append({"r": r, "d": d[r], "lower": lower, "upper": upper,
-                     "ok": reached == lower and lower <= d[r] <= upper})
+                     "ok": first_failure > r and lower <= d[r] <= upper})
     est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
                                                         "slope": 0.0}
-    return series, GrowthCertificate(lw, rows, witness_ok, est)
+    return series, GrowthCertificate(lw, rows,
+                                      first_failure > witness_budget, est)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ exactly representable.  On an N slot a term vanishes on e_k whenever
 k - d < 0; a radical whose exponent vanishes makes the whole coefficient
 zero before any negativity check, which is what keeps compositions of the
 boundary-vanishing shifts exact.
+
+apply_operator applies an operator symbolically, term by term.  Every
+evaluation at fixed q goes through compile_table instead: it expands
+operators into term combinations and evaluates each distinct coefficient
+once over an index range.  The module growth kernel and the window
+evaluation behind the relation checks (window_profiles) both run on it.
 """
 
 from __future__ import annotations
@@ -505,25 +511,28 @@ def shift_bounds(ops: list[TensorOperator]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CompiledTable:
-    """Operators on unilateral slots expanded into term combinations at a
-    fixed q, with every coefficient evaluated once.
+    """Operators expanded into term combinations at a fixed q, with every
+    coefficient evaluated once over an index range ks.
 
     A combination picks one term per slot of one summand of operator
     `operator[c]`; it sends e_k to
 
-        scalar[c] * prod_s coefficients[term[c, s], k_s] * e_{k - shift[c]}
+        scalar[c] * prod_s coefficients[term[c, s], k_s - ks.start]
+        * e_{k - shift[c]}
 
-    when every k_s - shift[c, s] >= 0, for indices 0 <= k_s < width.
-    Combinations follow apply_operator's order: operators, then summands,
-    then the cartesian product of slot terms with slot 0 outermost.  NaN
-    marks an index where Coefficient.evaluate raises QDomainError.
+    for k_s in ks.  On a Z slot every index is a target.  On an N slot a
+    combination contributes only where k_s - shift[c, s] >= 0; the table
+    does not apply this mask, its users do.  Combinations follow
+    apply_operator's order: operators, then summands, then the cartesian
+    product of slot terms with slot 0 outermost.  NaN marks an index where
+    Coefficient.evaluate raises QDomainError.
     """
 
     operator: np.ndarray       # (C,) int
     scalar: np.ndarray         # (C,) complex
     shift: np.ndarray          # (C, slots) int
     term: np.ndarray           # (C, slots) int, rows of coefficients
-    coefficients: np.ndarray   # (distinct coefficients, width) complex
+    coefficients: np.ndarray   # (distinct coefficients, len(ks)) complex
 
 
 def _evaluate_or_nan(c: Coefficient, k: int, q: float) -> complex:
@@ -534,10 +543,8 @@ def _evaluate_or_nan(c: Coefficient, k: int, q: float) -> complex:
 
 
 def compile_table(ops: list[TensorOperator], q: float,
-                  width: int) -> CompiledTable:
-    """The term combinations of ops, coefficients over 0..width-1."""
-    if any(kind != UNILATERAL for op in ops for kind in op.signature):
-        raise ValueError("compiled tables act on unilateral slots only")
+                  ks: range) -> CompiledTable:
+    """The term combinations of ops, coefficients over the indices ks."""
     rows: dict[Coefficient, int] = {}
     operator, scalar, shift, term = [], [], [], []
     for g, op in enumerate(ops):
@@ -547,9 +554,9 @@ def compile_table(ops: list[TensorOperator], q: float,
                 scalar.append(s)
                 shift.append([d for d, _ in combo])
                 term.append([rows.setdefault(c, len(rows)) for _, c in combo])
-    coefficients = np.zeros((len(rows), width), dtype=complex)
+    coefficients = np.zeros((len(rows), len(ks)), dtype=complex)
     for c, row in rows.items():
-        coefficients[row] = [_evaluate_or_nan(c, k, q) for k in range(width)]
+        coefficients[row] = [_evaluate_or_nan(c, k, q) for k in ks]
     shape = (len(operator), len(ops[0].signature))
     return CompiledTable(np.array(operator, dtype=np.int64),
                          np.array(scalar, dtype=complex),
@@ -562,56 +569,37 @@ def compile_table(ops: list[TensorOperator], q: float,
 # window evaluation
 # ---------------------------------------------------------------------------
 
-def _slot_profile(f: WeightedShiftSum, d: int, c: Coefficient, cutoff: int,
-                  q: float) -> np.ndarray:
-    """Coefficient of one term over all window indices of a slot."""
-    if f.space == UNILATERAL:
-        ks = range(0, cutoff + 1)
-    else:
-        ks = range(-cutoff, cutoff + 1)
-    out = np.zeros(len(ks), dtype=complex)
-    for pos, k in enumerate(ks):
-        if f.space == UNILATERAL and k - d < 0:
-            continue
-        out[pos] = c.evaluate(k, q)
-    return out
-
-
 def window_profiles(op: TensorOperator, cutoff: int, q: float
                     ) -> dict[tuple[int, ...], np.ndarray]:
     """Dense action on the index window, grouped by shift pattern.
 
     Returns a map from shift vectors (d_1, ..., d_m) to arrays A with
     A[k_1, ..., k_m] = amplitude of e_{k-d} in op(e_k).  Window indices on a
-    bilateral slot run from -cutoff to cutoff (array offset +cutoff).
+    bilateral slot run from -cutoff to cutoff (array offset +cutoff), on a
+    unilateral slot from 0 to cutoff.  Raises QDomainError where a
+    coefficient is evaluated outside its domain at a live index.
     """
-    groups: dict[tuple[int, ...], list[list[np.ndarray]]] = {}
-    for scalar, factors in op.summands:
-        term_lists = []
-        for f in factors:
-            term_lists.append(list(f.terms))
-        # cartesian product over per-slot terms
-        stack = [((), [])]
-        for slot, f in enumerate(factors):
-            nxt = []
-            for shifts, profs in stack:
-                for d, c in term_lists[slot]:
-                    nxt.append((shifts + (d,),
-                                profs + [_slot_profile(f, d, c, cutoff, q)]))
-            stack = nxt
-        for shifts, profs in stack:
-            profs = [profs[0] * scalar] + profs[1:] if profs else profs
-            groups.setdefault(shifts, []).append(profs)
+    lo = -cutoff if BILATERAL in op.signature else 0
+    table = compile_table([op], q, range(lo, cutoff + 1))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for c, shifts in enumerate(map(tuple, table.shift.tolist())):
+        groups.setdefault(shifts, []).append(c)
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for shifts, atom_list in groups.items():
-        if not atom_list:
-            continue
-        nslots = len(shifts)
-        letters = "abcdefghijklmnop"[:nslots]
+    for shifts, combos in groups.items():
+        profiles = []
+        for s, kind in enumerate(op.signature):
+            prof = table.coefficients[table.term[combos, s]]
+            if kind == UNILATERAL:
+                prof = prof[:, -lo:]
+                prof[:, :max(shifts[s], 0)] = 0     # no target e_{k-d}
+            if np.isnan(prof).any():
+                raise QDomainError(
+                    f"negative radicand exponent on slot {s} in the window")
+            profiles.append(prof)
+        profiles[0] = profiles[0] * table.scalar[combos][:, None]
+        letters = "abcdefghijklmnop"[:len(shifts)]
         spec = ",".join(f"z{ch}" for ch in letters) + "->" + letters
-        stacked = [np.stack([atom[i] for atom in atom_list])
-                   for i in range(nslots)]
-        out[shifts] = np.einsum(spec, *stacked)
+        out[shifts] = np.einsum(spec, *profiles)
     return out
 
 
@@ -631,14 +619,7 @@ def max_window_deviation(a: TensorOperator, b: TensorOperator, cutoff: int,
     pb = window_profiles(b, cutoff, q)
     dev = 0.0
     for shifts in set(pa) | set(pb):
-        pr_a = pa.get(shifts)
-        pr_b = pb.get(shifts)
-        if pr_a is None:
-            diff = np.abs(pr_b)
-        elif pr_b is None:
-            diff = np.abs(pr_a)
-        else:
-            diff = np.abs(pr_a - pr_b)
+        diff = np.abs(pa.get(shifts, 0) - pb.get(shifts, 0))
         if diff.size:
             dev = max(dev, float(diff.max()))
     return dev
@@ -686,26 +667,10 @@ def monomial_decomposition(op: TensorOperator, q: float) -> dict:
 def _monomial_window_max(slot_key: tuple, space: str, cutoff: int,
                          q: float) -> float:
     d, qa, radicals = slot_key
-    best = 0.0
-    ks = range(0, cutoff + 1) if space == UNILATERAL else \
-        range(-cutoff, cutoff + 1)
-    for k in ks:
-        if space == UNILATERAL and k - d < 0:
-            continue
-        val = q ** (qa * k)
-        ok = True
-        for a, b in radicals:
-            mexp = a * k + b
-            if mexp == 0:
-                val = 0.0
-                break
-            if mexp < 0:
-                ok = False
-                break
-            val *= math.sqrt(1.0 - q ** mexp)
-        if ok:
-            best = max(best, abs(val))
-    return best
+    c = Coefficient(qa=qa, radicals=radicals)
+    lo = max(d, 0) if space == UNILATERAL else -cutoff
+    values = [abs(_evaluate_or_nan(c, k, q)) for k in range(lo, cutoff + 1)]
+    return max([0.0] + [v for v in values if not math.isnan(v)])
 
 
 def window_deviation_bound(op: TensorOperator, cutoff: int, q: float) -> float:
@@ -730,12 +695,4 @@ def window_deviation_bound(op: TensorOperator, cutoff: int, q: float) -> float:
                 break
         total += prod
     return total
-
-
-def equal_on_window(a: TensorOperator, b: TensorOperator, cutoff: int,
-                    q: float, tol: float = 1e-8) -> bool:
-    """True iff the window actions agree to tol, relative to the magnitude."""
-    dev = max_window_deviation(a, b, cutoff, q)
-    mag = max(window_magnitude(a, cutoff, q), window_magnitude(b, cutoff, q))
-    return dev < tol * (1.0 + mag)
 

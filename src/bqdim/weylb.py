@@ -56,15 +56,6 @@ class SignedPermutation:
         return SignedPermutation(tuple(self.act(other.act(i))
                                        for i in range(1, self.n + 1)))
 
-    def inverse(self) -> "SignedPermutation":
-        img = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            if v > 0:
-                img[v - 1] = i
-            else:
-                img[-v - 1] = -i
-        return SignedPermutation(tuple(img))
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.n + 1))
 

@@ -1,10 +1,14 @@
-"""Every operation of the symbolic calculus returns a canonical operator.
+"""Laws of the symbolic calculus on random operators.
 
-TensorOperator.canonical, GeneratorImageTable.set and scale rely on this:
-they take their inputs as canonical and do not canonicalise them again.
+Every operation returns a canonical operator: TensorOperator.canonical,
+GeneratorImageTable.set and scale rely on this, they take their inputs as
+canonical and do not canonicalise them again.  Window evaluation at fixed
+q agrees with symbolic application.
 """
 
-from hypothesis import given, settings, strategies as st
+import itertools
+
+from hypothesis import example, given, settings, strategies as st
 
 from bqdim import qoperators as qo, repsoq
 from bqdim.repsoq import RepSpec
@@ -26,6 +30,12 @@ def _combinations(base):
 
 ONE_SLOT = _combinations(EDGES)
 TWO_SLOT = _combinations(st.builds(qo.tensor, ONE_SLOT, ONE_SLOT))
+# a circle slot next to bare unilateral shifts, whose coefficients do not
+# vanish at the boundary: only the k < d mask keeps e_0 off e_{-1}
+CIRCLE = _combinations(st.builds(
+    lambda z, u: qo.elementary_tensor([z, u]),
+    st.sampled_from([qo.shift_down("Z"), qo.shift_up("Z")]),
+    st.sampled_from([qo.shift_down(), qo.shift_up(), qo.identity_shift()])))
 
 
 def _is_canonical(op):
@@ -46,3 +56,38 @@ def test_rep_table_entries_are_canonical():
             table = repsoq.rep_table(RepSpec(n, word))
             for (k, l), op in table.images.items():
                 assert _is_canonical(op), (n, word, k, l)
+
+
+def _applied(op, k, q):
+    try:
+        return qo.apply_operator(op, qo.basis_vector(op.signature, k),
+                                 q).entries
+    except qo.QDomainError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
+# the calculus never leaves the radical domain; this operator does at N < 2
+@example(qo.elementary_tensor([qo.product(qo.shift_up(),
+                                          qo.sqrt_radical(1, -2))]))
+def test_window_profiles_agree_with_apply_operator(op):
+    cutoff, q = 4, 0.5
+    windows = [range(-cutoff, cutoff + 1) if kind == qo.BILATERAL
+               else range(cutoff + 1) for kind in op.signature]
+    images = {k: _applied(op, k, q) for k in itertools.product(*windows)}
+    try:
+        profiles = qo.window_profiles(op, cutoff, q)
+    except qo.QDomainError:
+        assert None in images.values()
+        return
+    assert None not in images.values()
+    for k, image in images.items():
+        pos = tuple(i - w.start for i, w in zip(k, windows))
+        values = {tuple(i - e for i, e in zip(k, d)): arr[pos]
+                  for d, arr in profiles.items()}
+        scale = max(map(abs, [*image.values(), *values.values()]), default=0)
+        # a target e_{k-d} off the unilateral range has no image entry
+        for target in set(image) | set(values):
+            assert abs(values.get(target, 0) - image.get(target, 0)) \
+                <= 1e-12 * scale, (k, target)

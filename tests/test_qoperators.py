@@ -71,16 +71,24 @@ def test_shift_commutation_identity():
     # q^{N+1} S = S q^N as operators; the pair (q^N S, S q^N) differs.
     lhs = qo.elementary_tensor([qo.product(qo.q_power(1, 1), qo.shift_down())])
     rhs = qo.elementary_tensor([qo.product(qo.shift_down(), qo.q_power(1, 0))])
-    assert qo.equal_on_window(lhs, rhs, 5, Q)
+    assert qo.max_window_deviation(lhs, rhs, 5, Q) < 1e-8
     bad = qo.elementary_tensor([qo.product(qo.q_power(1, 0), qo.shift_down())])
-    assert not qo.equal_on_window(bad, rhs, 5, Q)
+    assert qo.max_window_deviation(bad, rhs, 5, Q) > 1e-8
 
 
-def test_equal_on_window_reflexive_and_shift_mismatch():
+def test_window_deviation_reflexive_and_shift_mismatch():
     s = qo.elementary_tensor([qo.shift_down()])
     sstar = qo.elementary_tensor([qo.shift_up()])
-    assert qo.equal_on_window(s, s, 3, Q)
-    assert not qo.equal_on_window(s, sstar, 3, Q)
+    assert qo.max_window_deviation(s, s, 3, Q) < 1e-8
+    assert qo.max_window_deviation(s, sstar, 3, Q) > 1e-8
+
+
+def test_window_magnitude_raises_outside_the_radical_domain():
+    # sqrt(1 - q^(N-2)) has a negative radicand at N = 0, 1
+    op = qo.elementary_tensor([qo.product(qo.shift_up(),
+                                          qo.sqrt_radical(1, -2))])
+    with pytest.raises(qo.QDomainError):
+        qo.window_magnitude(op, 4, Q)
 
 
 def test_adjoint_inner_product_contract():
@@ -155,7 +163,7 @@ def test_composition_associativity_on_window():
                 qo.elementary_tensor([qo.q_power(2, 0)], scalar=-1.25))
     lhs = qo.compose(qo.compose(t1, t2), t3)
     rhs = qo.compose(t1, qo.compose(t2, t3))
-    assert qo.equal_on_window(lhs, rhs, 6, Q)
+    assert qo.max_window_deviation(lhs, rhs, 6, Q) < 1e-8
 
 
 def test_unilateral_annihilation_of_positive_shift():
@@ -167,10 +175,9 @@ def test_unilateral_annihilation_of_positive_shift():
 def test_bilateral_shift_is_invertible():
     s = qo.elementary_tensor([qo.shift_down("Z")])
     sstar = qo.elementary_tensor([qo.shift_up("Z")])
-    assert qo.equal_on_window(qo.compose(s, sstar),
-                              qo.identity_operator(["Z"]), 4, Q)
-    assert qo.equal_on_window(qo.compose(sstar, s),
-                              qo.identity_operator(["Z"]), 4, Q)
+    identity = qo.identity_operator(["Z"])
+    assert qo.max_window_deviation(qo.compose(s, sstar), identity, 4, Q) < 1e-8
+    assert qo.max_window_deviation(qo.compose(sstar, s), identity, 4, Q) < 1e-8
 
 
 def test_render_is_readable():

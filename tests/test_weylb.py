@@ -169,7 +169,9 @@ def test_parts_prefix_membership(n):
             R = ParabolicSubset.chain(n, k)
             prefix = elems[k - 1]
             assert all(i in R.indices for p in ws[:k] for i in p)
-            tail = prefix.inverse() * w
+            prefix_inverse = from_word(
+                tuple(i for p in ws[:k] for i in p)[::-1], n)
+            tail = prefix_inverse * w
             assert in_quotient(tail, R)
             assert length(prefix) + length(tail) == length(w)
 
