@@ -10,9 +10,10 @@ once, and a block of frontier vectors is expanded by gather and
 scatter-add, with the rounding and the drops of apply_operator.  Algebra
 growth runs it on operator words kept in closed symbolic form; their rank
 is exact because each word expands over structurally independent
-monomials.  It runs once more on the action of the words on a window of
-probe vectors, whose rank is recorded alongside as a lower-bound
-cross-check.
+monomials.  It runs once more on the action of the words on the probe
+vectors, on the same kernel: circle slots take negative indices, and one
+frontier element stacks a word's images of all probes.  That rank is
+recorded alongside as a lower-bound cross-check.
 
 Lower bounds are certified by explicit witness words.  A witness system is
 a list of letters (operator, slot, step) that raise or lower one tensor
@@ -173,51 +174,72 @@ _BLOCK_CELLS = 8192
 class ModuleKernel:
     """The generators of a module at fixed q, compiled for the span series.
 
-    A basis index reached by words of length <= r_max has k_s <= D_s r_max
-    on slot s, where D_s is the largest shift the generators make there.
-    It is encoded as one integer in mixed radix D_s r_max + 1, slot 0 most
-    significant, so integer order is tuple order and Echelon pivots as it
-    does on tuples.  A frontier element is a pair (keys, amplitudes) of
-    arrays; expand applies every generator to a block of elements at once
-    by gather, shift and scatter-add over the compiled table.  Each image
-    equals apply_operator's on the same vector: the same entries in the
-    same order, rounded the same way, with the same entries dropped.
+    Slot s of a basis index reached from indices in 0..reach by words of
+    length <= r_max lies in lo_s..hi_s, with hi_s = reach + D_s r_max and
+    D_s the largest shift the generators make there; lo_s is -D_s r_max on
+    a Z (circle) slot and 0 on an N slot.  The index is encoded as one
+    integer in mixed radix hi_s - lo_s + 1 on the digits k_s - lo_s, slot 0
+    most significant, so integer order is tuple order and Echelon pivots as
+    it does on tuples.  A frontier element is a pair (keys, amplitudes) of
+    arrays holding a stack of `probes` vectors, probe i offset by i times
+    the window size; a module series stacks one vector, the vacuum, with
+    reach 0.  expand applies every generator to a block of elements at once
+    by gather, shift and scatter-add over the compiled table.  Each stacked
+    image equals apply_operator's images of the stacked vectors: the same
+    entries in the same order, rounded the same way, with the same entries
+    dropped.
     """
 
-    def __init__(self, gens: list[TensorOperator], q: float, r_max: int):
-        if any(kind != qo.UNILATERAL for op in gens for kind in op.signature):
-            raise ValueError("the module kernel acts on unilateral slots only")
+    def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
+                 reach: int = 0, probes: int = 1):
+        self.signature = gens[0].signature
         self.shift_bounds = qo.shift_bounds(gens)
-        self.radices = [d * r_max + 1 for d in self.shift_bounds]
+        self.circle = [kind == qo.BILATERAL for kind in self.signature]
+        self.lows = [-d * r_max if z else 0
+                     for d, z in zip(self.shift_bounds, self.circle)]
+        self.radices = [reach + d * r_max - lo + 1
+                        for d, lo in zip(self.shift_bounds, self.lows)]
         self.size = math.prod(self.radices)
+        self.probes = probes
         self.n_gens = len(gens)
-        # block composite keys (candidate, index) must fit in int64; a block
-        # holds at most _BLOCK_CELLS elements
-        if _BLOCK_CELLS * self.n_gens * self.size > np.iinfo(np.int64).max:
+        # block composite keys (candidate, probe, index) must fit in int64;
+        # a block holds at most _BLOCK_CELLS elements
+        if _BLOCK_CELLS * self.n_gens * probes * self.size > \
+                np.iinfo(np.int64).max:
             raise ValueError(
-                f"index space of {self.size} keys is too large for int64 "
-                f"block keys at r_max={r_max}")
+                f"{probes} stacked index spaces of {self.size} keys are too "
+                f"large for int64 block keys at r_max={r_max}")
         self.strides = [math.prod(self.radices[s + 1:])
                         for s in range(len(self.radices))]
-        self.table = qo.compile_table(gens, q,
-                                      range(max(self.radices, default=1)))
+        ks = range(min(self.lows, default=0),
+                   max((lo + b for lo, b in zip(self.lows, self.radices)),
+                       default=1))
+        self.table = qo.compile_table(gens, q, ks)
+        # coefficient column of digit 0 on each slot
+        self._columns = [lo - ks.start for lo in self.lows]
         self._shift_key = self.table.shift @ np.array(self.strides,
                                                       dtype=np.int64)
         self._block_entries = max(1, _BLOCK_CELLS // len(self._shift_key))
         self._has_nan = bool(np.isnan(self.table.coefficients).any())
 
-    def encode(self, vec: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-        """The frontier element of a vector inside the window."""
-        if len(vec.signature) != len(self.radices):
-            raise ValueError("signature mismatch")
-        keys = []
-        for index in vec.entries:
-            if not all(0 <= k < b for k, b in zip(index, self.radices)):
-                raise ValueError(f"index {index} is outside the window "
-                                 f"{self.radices}")
-            keys.append(sum(k * st for k, st in zip(index, self.strides)))
-        return (np.array(keys, dtype=np.int64),
-                np.array(list(vec.entries.values()), dtype=complex))
+    def encode(self, *vectors: SparseVector) -> tuple[np.ndarray, np.ndarray]:
+        """The frontier element of a stack of vectors inside the window."""
+        if len(vectors) != self.probes:
+            raise ValueError(f"expected a stack of {self.probes} vectors, "
+                             f"got {len(vectors)}")
+        keys, amps = [], []
+        for i, vec in enumerate(vectors):
+            if vec.signature != self.signature:
+                raise ValueError("signature mismatch")
+            for index, amp in vec.entries.items():
+                digits = [k - lo for k, lo in zip(index, self.lows)]
+                if not all(0 <= d < b for d, b in zip(digits, self.radices)):
+                    raise ValueError(f"index {index} is outside the window "
+                                     f"from {self.lows} of {self.radices}")
+                keys.append(i * self.size
+                            + sum(d * st for d, st in zip(digits, self.strides)))
+                amps.append(amp)
+        return np.array(keys, dtype=np.int64), np.array(amps, dtype=complex)
 
     @staticmethod
     def fingerprint(x: tuple[np.ndarray, np.ndarray]) -> dict:
@@ -243,19 +265,23 @@ class ModuleKernel:
         owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
         digits = [keys // stride % radix
                   for stride, radix in zip(self.strides, self.radices)]
-        for k, radix, d in zip(digits, self.radices, self.shift_bounds):
-            if (k >= radix - d).any():
+        for k, radix, d, z in zip(digits, self.radices, self.shift_bounds,
+                                  self.circle):
+            if (k >= radix - d).any() or (z and (k < d).any()):
                 raise ValueError("a frontier index has images outside the "
                                  "window; expand only words of length < "
                                  "r_max")
-        # (entry, combination) cells whose target index exists on every slot
+        columns = [k + off if off else k
+                   for k, off in zip(digits, self._columns)]
+        # (entry, combination) cells whose target index exists on every
+        # slot; on a Z slot every target exists
         live = np.ones((len(keys), len(t.scalar)), dtype=bool)
-        for s, k in enumerate(digits):
-            reached = k[:, None] >= t.shift[:, s]
+        for s, (k, col, z) in enumerate(zip(digits, columns, self.circle)):
+            reached = True if z else k[:, None] >= t.shift[:, s]
             # apply_operator evaluates every coefficient whose slot target
             # exists, so a NaN there is a domain error
             if self._has_nan and np.isnan(
-                    t.coefficients[t.term[:, s], k[:, None]][reached]).any():
+                    t.coefficients[t.term[:, s], col[:, None]][reached]).any():
                 raise qo.QDomainError(
                     f"negative radicand exponent on slot {s} in the window")
             live &= reached
@@ -267,38 +293,43 @@ class ModuleKernel:
                                   t.scalar.real[c], t.scalar.imag[c])
         re, im = a_re * s_re - a_im * s_im, a_re * s_im + a_im * s_re
         nonzero = np.ones(len(e), dtype=bool)
-        for s, k in enumerate(digits):
-            rows, ks = t.term[c, s], k[e]
-            c_re = t.coefficients.real[rows, ks]
-            c_im = t.coefficients.imag[rows, ks]
+        for s, col in enumerate(columns):
+            rows, cols = t.term[c, s], col[e]
+            c_re = t.coefficients.real[rows, cols]
+            c_im = t.coefficients.imag[rows, cols]
             nonzero &= (c_re != 0) | (c_im != 0)
             re, im = re * c_re - im * c_im, re * c_im + im * c_re
         e, c, re, im = e[nonzero], c[nonzero], re[nonzero], im[nonzero]
-        # scatter-add per (candidate, target), in input order like a dict
+        # scatter-add per (candidate, probe, target), in input order like a
+        # dict; the probe offset rides in the keys
+        stack = self.probes * self.size
         cand = owner[e] * self.n_gens + t.operator[c]
         uniq, first, inv = np.unique(
-            cand * self.size + keys[e] - self._shift_key[c],
+            cand * stack + keys[e] - self._shift_key[c],
             return_index=True, return_inverse=True)
         sums = np.bincount(inv, weights=re, minlength=len(uniq)) + 0j
         sums.imag = np.bincount(inv, weights=im, minlength=len(uniq))
-        cand, target = np.divmod(uniq, self.size)
-        # SparseVector.cleaned per candidate: drop relative to its own max
+        # SparseVector.cleaned per image: drop relative to the max of one
+        # probe's image under one generator
+        image = uniq // self.size
         mag = np.hypot(sums.real, sums.imag)
         if len(mag):
-            starts = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]])
+            starts = np.flatnonzero(np.r_[True, image[1:] != image[:-1]])
             scale = np.maximum.reduceat(mag, starts)
             keep = mag > qo.DROP_TOL * np.repeat(
                 scale, np.diff(np.r_[starts, len(mag)]))
-            cand, target, sums, first = (cand[keep], target[keep],
-                                         sums[keep], first[keep])
+            uniq, image, sums, first = (uniq[keep], image[keep],
+                                        sums[keep], first[keep])
         # every image lists its indices in the order of their first
         # contribution, as apply_operator's dict does, so the next step
-        # sums in the same order
-        order = np.lexsort((first, cand))
-        cand, target, sums = cand[order], target[order], sums[order]
-        bounds = np.searchsorted(cand, np.arange(len(block) * self.n_gens + 1))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            yield target[a:b].copy(), sums[a:b].copy()
+        # sums in the same order; the images of one candidate follow each
+        # other probe by probe
+        order = np.lexsort((first, image))
+        uniq, image, sums = uniq[order], image[order], sums[order]
+        bounds = np.searchsorted(
+            image, np.arange(len(block) * self.n_gens + 1) * self.probes)
+        for cand, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            yield uniq[a:b] - cand * stack, sums[a:b].copy()
 
 
 def _module_kernel(spec: RepSpec, r_max: int, q: float) -> ModuleKernel:
@@ -309,9 +340,8 @@ def _module_kernel(spec: RepSpec, r_max: int, q: float) -> ModuleKernel:
 
 def _kernel_series(kernel: ModuleKernel, spec: RepSpec, r_max: int,
                    basis_cap: int) -> GrowthSeries:
-    sig = (qo.UNILATERAL,) * len(kernel.radices)
-    return _span_series(kernel.encode(qo.vacuum(sig)), kernel.expand,
-                        kernel.fingerprint, r_max, basis_cap,
+    return _span_series(kernel.encode(qo.vacuum(kernel.signature)),
+                        kernel.expand, kernel.fingerprint, r_max, basis_cap,
                         {"kind": "module", "n": spec.n,
                          "word": list(spec.word)})
 
@@ -617,6 +647,22 @@ def homogeneous_witnesses(n: int, m: int, w: SignedPermutation) -> list[Letter]:
 # algebra growth by exact structural fingerprints
 # ---------------------------------------------------------------------------
 
+def _probe_rank_series(gens: list[TensorOperator], q: float, r_max: int,
+                       probe_cutoff: int, basis_cap: int, context: dict
+                       ) -> list[tuple[int, int]]:
+    """Rank series of the words' action on the probe vectors e_p, p >= 0
+    with index sum <= probe_cutoff.  A word's element stacks its images of
+    all probes in the kernel, probe-major, so its fingerprint is keyed by
+    (probe, index)."""
+    sig = gens[0].signature
+    probes = [qo.basis_vector(sig, p) for p in sorted(
+        p for t in range(probe_cutoff + 1) for p in _compositions(len(sig), t))]
+    kernel = ModuleKernel(gens, q, r_max, reach=probe_cutoff,
+                          probes=len(probes))
+    return _span_series(kernel.encode(*probes), kernel.expand,
+                        kernel.fingerprint, r_max, basis_cap, context).values
+
+
 def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
                    probe_cutoff: int = 4, basis_cap: int = 20000
                    ) -> GrowthSeries:
@@ -637,15 +683,8 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
         lambda frontier: (qo.compose(g, x) for x in frontier for g in gens),
         lambda op: qo.monomial_decomposition(op, q),
         r_max, basis_cap, context).values
-    probes = [qo.basis_vector(sig, p) for p in sorted(
-        p for t in range(probe_cutoff + 1) for p in _compositions(len(sig), t))]
-    probe_values = _span_series(
-        probes,
-        lambda frontier: ([qo.apply_operator(g, v, q) for v in outs]
-                          for outs in frontier for g in gens),
-        lambda outs: {(i, key): amp for i, out in enumerate(outs)
-                      for key, amp in out.entries.items()},
-        r_max, basis_cap, context).values
+    probe_values = _probe_rank_series(gens, q, r_max, probe_cutoff,
+                                      basis_cap, context)
     flags = [f"probe rank {dp} exceeds structural rank {d} at r={r}"
              for (r, d), (_, dp) in zip(values, probe_values) if dp > d]
     context.update(word=list(weylb.normal_form(w).word()),

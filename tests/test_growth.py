@@ -475,6 +475,19 @@ def test_probe_and_witness_rank_series():
     assert [row["witness_rank"] for row in cert.rows] == [1, 3, 7, 13]
 
 
+@pytest.mark.parametrize("n,m,r_max,cutoff,values", [
+    (2, 2, 3, 3, [(0, 1), (1, 21), (2, 209), (3, 1133)]),
+    (2, 1, 2, 2, [(0, 1), (1, 26), (2, 311)])])
+def test_probe_rank_series_of_rank_two(n, m, r_max, cutoff, values):
+    """The probe series of algebra_growth on the rank-two spaces, pinned at
+    the ranks that per-probe apply_operator images give."""
+    w = weylb.longest_quotient_element(
+        n, weylb.ParabolicSubset.homogeneous(n, m))
+    gens = growth.homogeneous_generators(growth.homogeneous_rep(n, m, w), n, m)
+    assert growth._probe_rank_series(gens, Q, r_max, cutoff, 20000, {}) == \
+        values
+
+
 @pytest.mark.parametrize("n,m,r_max,lower", [(1, 1, 3, [1, 3, 7, 13]),
                                              (2, 2, 3, [1, 5, 18, 50]),
                                              (2, 1, 2, [1, 7, 32])])

@@ -2,7 +2,9 @@
 
 growth.ModuleKernel expands a frontier by gather and scatter-add over
 qoperators.compile_table; qoperators.apply_operator is the oracle, entry
-by entry, including the entries SparseVector.cleaned drops.
+by entry, including the entries SparseVector.cleaned drops.  The module
+series runs it on single vectors over N slots, the homogeneous probe series
+on stacks of probe images over Z (circle) and N slots.
 """
 
 import cmath
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bqdim import growth, qoperators as qo, repsoq
+from bqdim import growth, qoperators as qo, repsoq, weylb
 from bqdim.repsoq import RepSpec
 
 from test_acceptance import MODULE_WORDS
@@ -60,8 +62,13 @@ def _vectors(kernel):
 
 
 def _decoded(kernel, keys, amps) -> dict:
-    index = np.array(np.unravel_index(keys, kernel.radices)).T.tolist()
-    return dict(zip(map(tuple, index), amps.tolist()))
+    """An element keyed by index, or by (probe, index) for a stack."""
+    probe, rest = np.divmod(keys, kernel.size)
+    digits = np.array(np.unravel_index(rest, kernel.radices)).T
+    index = (digits + np.array(kernel.lows, dtype=np.int64)).tolist()
+    if kernel.probes == 1:
+        return dict(zip(map(tuple, index), amps.tolist()))
+    return dict(zip(zip(probe.tolist(), map(tuple, index)), amps.tolist()))
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -82,6 +89,65 @@ def test_kernel_candidates_equal_apply_operator(kernels, case, data):
             assert abs(got[key] - a) <= 1e-12 * scale
 
 
+HOMOGENEOUS = [(1, 1), (2, 2), (2, 1)]
+REACH, STACK = 2, 3
+
+
+@pytest.fixture(scope="module")
+def probe_kernels():
+    """Homogeneous generators and their kernel for stacks of STACK vectors."""
+    out = {}
+    for n, m in HOMOGENEOUS:
+        w = weylb.longest_quotient_element(
+            n, weylb.ParabolicSubset.homogeneous(n, m))
+        gens = growth.homogeneous_generators(growth.homogeneous_rep(n, m, w),
+                                             n, m)
+        out[n, m] = gens, growth.ModuleKernel(gens, Q, R_MAX, reach=REACH,
+                                              probes=STACK)
+    return out
+
+
+def _stacks(kernel):
+    """Frontiers of stacks whose images stay in the window, with negative
+    indices on the Z slots.
+
+    Each vector of a stack has its own scale, 0, 10 or 20 decades down, on
+    top of entries spread over 13 decades, so a drop taken relative to the
+    whole stack instead of each probe's image removes entries."""
+    index = st.tuples(*(st.integers(lo + d if z else 0, lo + b - 1 - d)
+                        for lo, b, d, z in zip(kernel.lows, kernel.radices,
+                                               kernel.shift_bounds,
+                                               kernel.circle)))
+    amp = st.builds(lambda e, phase: 10.0 ** -e * cmath.exp(1j * phase),
+                    st.sampled_from([0, 6, 13]), st.floats(-3.2, 3.2))
+    vec = st.builds(
+        lambda entries, e: qo.SparseVector(
+            kernel.signature, {k: a * 10.0 ** -e for k, a in entries.items()}),
+        st.dictionaries(index, amp, min_size=1, max_size=20),
+        st.sampled_from([0, 10, 20]))
+    stack = st.lists(vec, min_size=STACK, max_size=STACK)
+    return st.lists(stack, min_size=1, max_size=2)
+
+
+@pytest.mark.parametrize("case", HOMOGENEOUS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_stacks_equal_apply_operator_per_probe(probe_kernels, case,
+                                                      data):
+    gens, kernel = probe_kernels[case]
+    frontier = data.draw(_stacks(kernel))
+    candidates = list(kernel.expand([kernel.encode(*stack)
+                                     for stack in frontier]))
+    assert len(candidates) == len(frontier) * len(gens)
+    expected = [{(i, index): a for i, v in enumerate(stack)
+                 for index, a in qo.apply_operator(g, v, Q).entries.items()}
+                for stack in frontier for g in gens]
+    for want, (keys, amps) in zip(expected, candidates):
+        # same entries, same order, same values
+        assert list(_decoded(kernel, keys, amps).items()) == \
+            list(want.items())
+
+
 def test_kernel_raises_where_evaluate_raises():
     # sqrt(1 - q^(N-2)) has a negative radicand at N = 0, 1 and vanishes at 2
     op = qo.elementary_tensor([qo.product(qo.shift_up(),
@@ -99,18 +165,22 @@ def test_kernel_raises_where_evaluate_raises():
         qo.apply_operator(op, vec, Q).entries
 
 
-def test_kernel_refuses_an_index_space_beyond_int64():
-    # 9^30 indices on 30 slots at r_max = 8; refused before any table is
-    # evaluated or allocated
+def test_kernel_refuses_an_index_space_beyond_int64(monkeypatch):
+    # refused before any table is evaluated or allocated
+    def no_table(*args):
+        raise AssertionError("a table was compiled")
+
+    monkeypatch.setattr(growth.qo, "compile_table", no_table)
+    # 9^30 indices on 30 slots at r_max = 8
     op = qo.elementary_tensor([qo.shift_up()] * 30)
     with pytest.raises(ValueError, match="int64"):
         growth.ModuleKernel([op], Q, 8)
-
-
-def test_kernel_refuses_circle_slots():
-    op = qo.elementary_tensor([qo.shift_up(qo.BILATERAL)])
-    with pytest.raises(ValueError, match="unilateral"):
-        growth.ModuleKernel([op], Q, 2)
+    # 9^13 indices fit alone, but not as a stack of 1000 probe images
+    op = qo.elementary_tensor([qo.shift_up()] * 13)
+    with pytest.raises(ValueError, match="int64"):
+        growth.ModuleKernel([op], Q, 8, probes=1000)
+    with pytest.raises(AssertionError, match="compiled"):
+        growth.ModuleKernel([op], Q, 8, probes=1)
 
 
 def test_kernel_refuses_an_index_outside_the_window():
@@ -122,6 +192,27 @@ def test_kernel_refuses_an_index_outside_the_window():
     last = kernel.encode(qo.basis_vector(("N",), (2,)))
     with pytest.raises(ValueError, match="window"):
         list(kernel.expand([last]))
+
+
+def test_kernel_refuses_circle_indices_outside_the_window():
+    # one Z slot, D = 1, reach 1, r_max = 3: the window is -3..4 and only
+    # -2..3 may be expanded
+    op = qo.elementary_tensor([qo.shift_up(qo.BILATERAL)
+                               .add(qo.shift_down(qo.BILATERAL))])
+    kernel = growth.ModuleKernel([op], Q, 3, reach=1)
+    assert (kernel.lows, kernel.radices) == ([-3], [8])
+    for k in (-4, 5):
+        with pytest.raises(ValueError, match="window"):
+            kernel.encode(qo.basis_vector(("Z",), (k,)))
+    for k in (-3, 4):
+        edge = kernel.encode(qo.basis_vector(("Z",), (k,)))
+        with pytest.raises(ValueError, match="window"):
+            list(kernel.expand([edge]))
+    for k in (-2, 3):
+        vec = qo.basis_vector(("Z",), (k,))
+        [(keys, amps)] = kernel.expand([kernel.encode(vec)])
+        assert _decoded(kernel, keys, amps) == \
+            qo.apply_operator(op, vec, Q).entries
 
 
 def test_kernel_encode_checks_the_signature():
