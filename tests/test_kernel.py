@@ -179,6 +179,7 @@ def test_kernel_refuses_an_index_space_beyond_int64(monkeypatch):
     op = qo.elementary_tensor([qo.shift_up()] * 13)
     with pytest.raises(ValueError, match="int64"):
         growth.ModuleKernel([op], Q, 8, probes=1000)
+    # a single probe passes the guard and goes on to the table
     with pytest.raises(AssertionError, match="compiled"):
         growth.ModuleKernel([op], Q, 8, probes=1)
 
