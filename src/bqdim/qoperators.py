@@ -19,10 +19,25 @@ evaluation at fixed q goes through compile_table instead: it expands
 operators into term combinations and evaluates each distinct coefficient
 once over an index range.  The module growth kernel and the window
 evaluation behind the relation checks (window_profiles) both run on it.
+
+The per-slot symbolic calculus is memoised for the life of the process,
+because growth series and relation checks take the same few slot factors
+into tens of thousands of tensor products.  Each of these is computed once
+per distinct input and shared afterwards: WeightedShiftSum.compose per
+operand pair, Coefficient.monomials per (coefficient, q), the expansion of
+one factor inside monomial_decomposition per (factor, q), and the constant
+that TensorOperator.canonical pulls out of a single-term factor, with the
+normalised factor and its key(), per factor.  The keys are exact: shifts,
+exponents and radicals as integers, and every constant and q by its repr,
+which round-trips a float and, unlike ==, tells -0.0 from 0.0 and an int
+from a complex.  Equal keys therefore mean bit-identical arithmetic, so a
+hit returns exactly what recomputing would.  Cached values are tuples and
+frozen objects, which no caller can change.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,6 +54,26 @@ DROP_TOL = 1e-12
 
 class QDomainError(ValueError):
     """A radical 1 - q^(a k + b) was evaluated where it is negative."""
+
+
+def _memoised(key):
+    """Cache a function's results for the life of the process, under key(*args).
+
+    Threads that miss on one key together each compute and store the same
+    value, so the table needs no lock."""
+    def wrap(fn):
+        table: dict = {}
+
+        @functools.wraps(fn)
+        def cached(*args):
+            k = key(*args)
+            try:
+                return table[k]
+            except KeyError:
+                out = table[k] = fn(*args)
+                return out
+        return cached
+    return wrap
 
 
 def _round_complex(z: complex, digits: int = 12) -> complex:
@@ -96,7 +131,13 @@ class Coefficient:
     def structure_key(self):
         return (self.qa, self.qb, self.h, self.radicals)
 
-    def monomials(self, q: float) -> list[tuple[tuple, complex]]:
+    @functools.cached_property
+    def exact_key(self) -> tuple:
+        """The fields, the constant as its repr: equal keys, equal arithmetic."""
+        return (repr(self.const), self.qa, self.qb, self.h, self.radicals)
+
+    @_memoised(lambda self, q: (self.exact_key, repr(q)))
+    def monomials(self, q: float) -> tuple[tuple[tuple, complex], ...]:
         """Expansion into structurally independent monomials at fixed q.
 
         Repeated radical atoms are expanded via r^2 = 1 - q^(aN+b), so each
@@ -125,8 +166,8 @@ class Coefficient:
         for qa, rads, val in expanded:
             key = (qa, tuple(sorted(rads)))
             out[key] = out.get(key, 0j) + val
-        return [(k, v) for k, v in sorted(out.items(), key=lambda kv: kv[0])
-                if v != 0]
+        return tuple((k, v) for k, v in sorted(out.items(), key=lambda kv: kv[0])
+                     if v != 0)
 
     def full_key(self):
         return (self.qa, self.qb, self.h, self.radicals,
@@ -196,6 +237,11 @@ class WeightedShiftSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @functools.cached_property
+    def exact_key(self) -> tuple:
+        return (self.space,) + tuple((d,) + c.exact_key for d, c in self.terms)
+
+    @_memoised(lambda self, other: (self.exact_key, other.exact_key))
     def compose(self, other: "WeightedShiftSum") -> "WeightedShiftSum":
         """Operator product self o other (other applied first)."""
         if self.space != other.space:
@@ -312,19 +358,19 @@ class TensorOperator:
         for scalar, factors in self.summands:
             if len(factors) != len(self.signature):
                 raise ValueError("factor count does not match signature")
-            norm_factors = []
+            norm_factors, keys = [], []
             for f in factors:
                 if f.is_zero():
                     scalar = 0.0
                     break
-                if len(f.terms) == 1:
-                    d, c = f.terms[0]
-                    scalar *= c.const
-                    f = WeightedShiftSum(f.space, ((d, c.scaled(1.0 / c.const)),))
+                const, f, key = _normalised(f)
+                if const is not None:
+                    scalar *= const
                 norm_factors.append(f)
+                keys.append(key)
             if scalar == 0:
                 continue
-            key = tuple(f.key() for f in norm_factors)
+            key = tuple(keys)
             if key in collected:
                 scalar += collected[key][0]
             collected[key] = (scalar, tuple(norm_factors))
@@ -354,6 +400,18 @@ class TensorOperator:
             else:
                 bits.append(f"{_fmt_complex(scalar)}*{leg}")
         return " + ".join(bits)
+
+
+@_memoised(lambda f: f.exact_key)
+def _normalised(f: WeightedShiftSum) -> tuple:
+    """(constant, factor, key) of a nonzero factor in canonical summands: a
+    single term gives up its constant, a longer factor stays as it is and
+    gives None."""
+    if len(f.terms) != 1:
+        return None, f, f.key()
+    d, c = f.terms[0]
+    f = WeightedShiftSum(f.space, ((d, c.scaled(1.0 / c.const)),))
+    return c.const, f, f.key()
 
 
 def _bracket(s: str) -> str:
@@ -653,15 +711,20 @@ def monomial_decomposition(op: TensorOperator, q: float) -> dict:
     for scalar, factors in op.summands:
         stack: list[tuple[tuple, complex]] = [((), scalar)]
         for f in factors:
-            nxt = []
-            for d, c in f.terms:
-                for struct, val in c.monomials(q):
-                    for key, amp in stack:
-                        nxt.append((key + ((d,) + struct,), amp * val))
-            stack = nxt
+            stack = [(key + (slot,), amp * val)
+                     for slot, val in _slot_monomials(f, q)
+                     for key, amp in stack]
         for key, amp in stack:
             flat[key] = flat.get(key, 0j) + amp
     return {k: v for k, v in flat.items() if v != 0}
+
+
+@_memoised(lambda f, q: (f.exact_key, repr(q)))
+def _slot_monomials(f: WeightedShiftSum, q: float) -> tuple:
+    """(shift degree, q-power slope, radicals) keys of one factor with their
+    values, terms in order."""
+    return tuple(((d,) + struct, val) for d, c in f.terms
+                 for struct, val in c.monomials(q))
 
 
 def _monomial_window_max(slot_key: tuple, space: str, cutoff: int,

@@ -3,7 +3,10 @@
 Every operation returns a canonical operator: TensorOperator.canonical,
 GeneratorImageTable.set and scale rely on this, they take their inputs as
 canonical and do not canonicalise them again.  Window evaluation at fixed
-q agrees with symbolic application.
+q agrees with symbolic application.  The adjoint is an involution and
+composition is associative.  All of these run on the process-wide memo
+tables of the per-slot calculus, so they also check that earlier examples
+leave no stale hits behind.
 """
 
 import itertools
@@ -91,3 +94,43 @@ def test_window_profiles_agree_with_apply_operator(op):
         for target in set(image) | set(values):
             assert abs(values.get(target, 0) - image.get(target, 0)) \
                 <= 1e-12 * scale, (k, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
+def test_adjoint_is_an_involution(op):
+    assert qo.adjoint(qo.adjoint(op)).key() == op.key()
+
+
+def _close(x, y, rel=1e-12):
+    scale = max(map(abs, [*x.values(), *y.values()]), default=0)
+    return all(abs(x.get(k, 0) - y.get(k, 0)) <= rel * scale
+               for k in set(x) | set(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ONE_SLOT, TWO_SLOT, CIRCLE]).flatmap(
+    lambda ops: st.tuples(ops, ops, ops)))
+def test_compose_is_associative(ops):
+    a, b, c = ops
+    q = 0.5
+    left = qo.monomial_decomposition(qo.compose(qo.compose(a, b), c), q)
+    right = qo.monomial_decomposition(qo.compose(a, qo.compose(b, c)), q)
+    assert _close(left, right)
+
+
+def test_monomial_memo_is_keyed_on_q():
+    op = qo.elementary_tensor([qo.q_power(1, 1)])
+    coeff = op.summands[0][1][0].terms[0][1]
+    for q in (0.5, 0.3, 0.5):
+        assert qo.monomial_decomposition(op, q) == {((0, 1, ()),): q}
+        assert coeff.monomials(q) == (((1, ()), q),)
+
+
+def test_memo_tells_signed_zeros_apart():
+    # == and hash conflate -0.0 with 0.0; the products do not
+    plus, minus = qo.constant(complex(-1.0, 0.0)), qo.constant(complex(-1.0, -0.0))
+    assert plus == minus
+    first = qo.constant(complex(-1.0, 0.0))
+    consts = [repr(first.compose(f).terms[0][1].const) for f in (plus, minus)]
+    assert consts == ["(1-0j)", "(1+0j)"]
