@@ -20,10 +20,11 @@ a list of letters (operator, slot, step) that raise or lower one tensor
 slot each: single generator images, recovered part by part through the
 embedding maps, in the module case; the circle driver h0 and the pairs
 h_j = h0* g, h_j* in the homogeneous case.  One pattern shell enumerates
-the exponent patterns with their predicted basis index and word, and one
-pass over it checks that each word lands on its index, counts the patterns
-(the lower bound) and, in the homogeneous case, ranks the words; witness
-landing stays on symbolic apply_operator, independent of the kernel.
+the exponent patterns with their predicted basis index and word.  One
+verifier, verify_witnesses, checks for both certificates that each word
+lands on its index; the patterns are counted (the lower bound) and, in the
+homogeneous case, their words ranked.  Witness landing stays on symbolic
+apply_operator, independent of the kernel.
 Upper bounds come from the window read off the table, prod_s (D_s r + 1)
 with D_s the largest shift on slot s (module case), and a per-slot
 container count (algebra case).
@@ -58,22 +59,22 @@ class Echelon:
     """Row echelon over sparse vectors keyed by a canonical index order.
 
     Pivots are maximal keys under tuple comparison; a candidate whose
-    residual drops below rel_tol times its own scale is dependent.
+    residual drops below REL_TOL times its own scale is dependent.
     """
 
-    def __init__(self, rel_tol: float = 1e-8):
-        self.rel_tol = rel_tol
+    REL_TOL = 1e-8
+
+    def __init__(self):
         self.pivots: dict = {}
 
     def __len__(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: dict) -> dict:
+    def add(self, vec: dict) -> dict | None:
+        """Reduce vec against the pivots; if a residual survives, store it
+        normalised to a leading 1 and return it, else return None."""
         vec = dict(vec)
-        scale = max((abs(v) for v in vec.values()), default=0.0)
-        if scale == 0.0:
-            return {}
-        floor = self.rel_tol * scale
+        floor = self.REL_TOL * max((abs(v) for v in vec.values()), default=0.0)
         while vec:
             key = max(vec)
             amp = vec.pop(key)
@@ -82,7 +83,8 @@ class Echelon:
             pivot = self.pivots.get(key)
             if pivot is None:
                 vec[key] = amp
-                return vec
+                normal = self.pivots[key] = {k: v / amp for k, v in vec.items()}
+                return normal
             for k, v in pivot.items():
                 if k == key:
                     continue
@@ -91,18 +93,7 @@ class Echelon:
                     vec.pop(k, None)
                 else:
                     vec[k] = nv
-        return {}
-
-    def add(self, vec: dict) -> dict | None:
-        """Insert if independent; returns the reduced vector or None."""
-        red = self.reduce(vec)
-        if not red:
-            return None
-        key = max(red)
-        lead = red[key]
-        normal = {k: v / lead for k, v in red.items()}
-        self.pivots[key] = normal
-        return normal
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +425,11 @@ def _compositions(slots: int, total: int):
             yield (v,) + rest
 
 
-def _single_support(vec: SparseVector, tol: float = 1e-8
-                    ) -> tuple[int, ...] | None:
+# share of a landed witness image's squared mass off its one basis index
+_LANDING_TOL = 1e-8
+
+
+def _single_support(vec: SparseVector) -> tuple[int, ...] | None:
     """The one basis index a vector is concentrated on up to noise, or None.
 
     The concentration test is relative: witness amplitudes are products of
@@ -444,7 +438,7 @@ def _single_support(vec: SparseVector, tol: float = 1e-8
         return None
     key, amp = max(vec.entries.items(), key=lambda kv: abs(kv[1]))
     mass = sum(abs(v) ** 2 for v in vec.entries.values())
-    if amp == 0 or abs(amp) ** 2 < (1.0 - tol) * mass:
+    if amp == 0 or abs(amp) ** 2 < (1.0 - _LANDING_TOL) * mass:
         return None
     return key
 
@@ -454,12 +448,6 @@ def _apply_word(word: list[TensorOperator], vec: SparseVector,
     for op in word:
         vec = qo.apply_operator(op, vec, q)
     return vec
-
-
-def _landing(word: list[TensorOperator], signature: tuple[str, ...], q: float,
-             tol: float = 1e-8) -> tuple[int, ...] | None:
-    """The basis index the word sends the vacuum to, or None."""
-    return _single_support(_apply_word(word, qo.vacuum(signature), q), tol)
 
 
 def _witness_shell(letters: list[Letter], signature: tuple[str, ...],
@@ -482,14 +470,15 @@ def _witness_shell(letters: list[Letter], signature: tuple[str, ...],
 
 
 def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
-                     q: float, budget: int = 4, tol: float = 1e-8) -> dict:
+                     q: float, budget: int = 4) -> dict:
     """Check that every witness pattern of total <= budget lands on its
     predicted basis vector with full relative mass."""
     report = {"patterns": 0, "failures": []}
     for total in range(budget + 1):
         for exps, index, word in _witness_shell(letters, signature, total):
             report["patterns"] += 1
-            support = _landing(word, signature, q, tol)
+            support = _single_support(
+                _apply_word(word, qo.vacuum(signature), q))
             if support != index:
                 report["failures"].append({"exponents": exps, "index": index,
                                            "support": support})
@@ -498,10 +487,10 @@ def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
 
 
 def verify_witness_chain(w: SignedPermutation, n: int, q: float,
-                         budget: int = 4, tol: float = 1e-8) -> dict:
+                         budget: int = 4) -> dict:
     """verify_witnesses on the raising letters of w."""
     letters = witness_chain(w, n)
-    return verify_witnesses(letters, ("N",) * len(letters), q, budget, tol)
+    return verify_witnesses(letters, ("N",) * len(letters), q, budget)
 
 
 @dataclass
@@ -620,14 +609,9 @@ def homogeneous_witnesses(n: int, m: int, w: SignedPermutation) -> list[Letter]:
         # whose rank-i image is a pure diagonal
         rank_word = tuple(letter - shift for pw in part_words[:i] for letter in pw)
         rank_table = repsoq.rep_table(RepSpec(i, rank_word))
-        diag_cols = []
-        for l in range(1, 2 * i + 2):
-            op = rank_table.entry(2 * i + 1, l)
-            if op.is_zero():
-                continue
-            if all(d == 0 for _, factors in op.summands
-                   for f in factors for d, _ in f.terms):
-                diag_cols.append(l)
+        diag_cols = [l for l, op in rank_table.row(2 * i + 1)
+                     if all(d == 0 for _, factors in op.summands
+                            for f in factors for d, _ in f.terms)]
         if len(diag_cols) != 1:
             raise AssertionError(f"expected one diagonal column, got {diag_cols}")
         h0 = eta.entry(n + i + 1, lam(diag_cols[0] + shift))
@@ -719,9 +703,9 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     put that many independent words of length <= 2r into the span: a lower
     bound of degree target.  A row is ok when the witness rank equals that
     count and the measured series stays under the container upper bound.
-    One pass over the totals up to max(r_max, witness_budget) checks the
-    landing of every witness up to the budget and ranks the words up to
-    r_max.
+    One verify_witnesses call checks the landing of every witness up to
+    the budget, as in module_certificate; the words of total <= r_max are
+    ranked.
     """
     R = ParabolicSubset.homogeneous(n, m)
     w = weylb.longest_quotient_element(n, R)
@@ -736,15 +720,12 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     d = dict(series.values)
     letters = homogeneous_witnesses(n, m, w)
     sig = letters[0][0].signature
+    witness_ok = verify_witnesses(letters, sig, q, witness_budget)["ok"]
     ident = qo.identity_operator(sig)
     ech = Echelon()
-    witness_ok, lower, rows = True, 0, []
-    for r in range(max(r_max, witness_budget) + 1):
-        for _, index, word in _witness_shell(letters, sig, r):
-            if r <= witness_budget and _landing(word, sig, q) != index:
-                witness_ok = False
-            if r > r_max:
-                continue
+    lower, rows = 0, []
+    for r in range(r_max + 1):
+        for _, _, word in _witness_shell(letters, sig, r):
             lower += 1
             word_op = ident
             for g in word:
@@ -752,8 +733,6 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
             fp = qo.monomial_decomposition(word_op, q)
             if fp:
                 ech.add(fp)
-        if r > r_max:
-            continue
         container = algebra_container_bound(n, m, w, r)
         rows.append({"r": r, "d": d[r], "lower": lower,
                      "witness_rank": len(ech), "upper": container,

@@ -25,14 +25,16 @@ because growth series and relation checks take the same few slot factors
 into tens of thousands of tensor products.  Each of these is computed once
 per distinct input and shared afterwards: WeightedShiftSum.compose per
 operand pair, Coefficient.monomials per (coefficient, q), the expansion of
-one factor inside monomial_decomposition per (factor, q), and the constant
-that TensorOperator.canonical pulls out of a single-term factor, with the
-normalised factor and its key(), per factor.  The keys are exact: shifts,
-exponents and radicals as integers, and every constant and q by its repr,
-which round-trips a float and, unlike ==, tells -0.0 from 0.0 and an int
-from a complex.  Equal keys therefore mean bit-identical arithmetic, so a
-hit returns exactly what recomputing would.  Cached values are tuples and
-frozen objects, which no caller can change.
+one factor inside monomial_decomposition per (factor, q), the window
+maximum of one slot monomial inside window_deviation_bound per (monomial,
+slot kind, cutoff, q), and the constant that TensorOperator.canonical pulls
+out of a single-term factor, with the normalised factor and its key(), per
+factor.  The keys are exact: shifts, exponents and radicals as integers,
+and every constant and q by its repr, which round-trips a float and,
+unlike ==, tells -0.0 from 0.0 and an int from a complex.  Equal keys
+therefore mean bit-identical arithmetic, so a hit returns exactly what
+recomputing would.  Cached values are tuples, floats and frozen objects,
+which no caller can change.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def _memoised(key):
     return wrap
 
 
-def _round_complex(z: complex, digits: int = 12) -> complex:
-    re = round(z.real, digits) + 0.0   # normalise -0.0
-    im = round(z.imag, digits) + 0.0
+def _round_complex(z: complex) -> complex:
+    re = round(z.real, 12) + 0.0   # normalise -0.0
+    im = round(z.imag, 12) + 0.0
     return complex(re, im)
 
 
@@ -173,7 +175,7 @@ class Coefficient:
         return (self.qa, self.qb, self.h, self.radicals,
                 repr(_round_complex(self.const)))
 
-    def render(self, var: str = "N") -> str:
+    def render(self) -> str:
         bits = []
         c = self.const
         if c != 1:
@@ -181,16 +183,16 @@ class Coefficient:
         if self.h:
             bits.append(f"(1+q^2)^{{{self.h}/2}}" if self.h != 2 else "(1+q^2)")
         if self.qa or self.qb:
-            bits.append(f"q^{{{_fmt_linear(self.qa, self.qb, var)}}}")
+            bits.append(f"q^{{{_fmt_linear(self.qa, self.qb)}}}")
         for a, b in self.radicals:
-            bits.append(f"sqrt(1-q^{{{_fmt_linear(a, b, var)}}})")
+            bits.append(f"sqrt(1-q^{{{_fmt_linear(a, b)}}})")
         return "*".join(bits) if bits else "1"
 
 
-def _fmt_linear(a: int, b: int, var: str) -> str:
+def _fmt_linear(a: int, b: int) -> str:
     if a == 0:
         return str(b)
-    head = var if a == 1 else f"{a}{var}"
+    head = "N" if a == 1 else f"{a}N"
     if b == 0:
         return head
     return f"{head}{b:+d}"
@@ -684,13 +686,8 @@ def max_window_deviation(a: TensorOperator, b: TensorOperator, cutoff: int,
 
 
 def window_magnitude(op: TensorOperator, cutoff: int, q: float) -> float:
-    if not op.signature:
-        return abs(_scalar_window_value(op))
-    mag = 0.0
-    for arr in window_profiles(op, cutoff, q).values():
-        if arr.size:
-            mag = max(mag, float(np.abs(arr).max()))
-    return mag
+    """max over window basis vectors e_k of ||op e_k||_inf."""
+    return max_window_deviation(op, zero_operator(op.signature), cutoff, q)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +724,8 @@ def _slot_monomials(f: WeightedShiftSum, q: float) -> tuple:
                  for struct, val in c.monomials(q))
 
 
+@_memoised(lambda slot_key, space, cutoff, q: (slot_key, space, cutoff,
+                                                repr(q)))
 def _monomial_window_max(slot_key: tuple, space: str, cutoff: int,
                          q: float) -> float:
     d, qa, radicals = slot_key
@@ -744,16 +743,11 @@ def window_deviation_bound(op: TensorOperator, cutoff: int, q: float) -> float:
     is already below tolerance."""
     if not op.signature:
         return abs(_scalar_window_value(op))
-    cache: dict[tuple, float] = {}
     total = 0.0
     for key, coeff in monomial_decomposition(op, q).items():
         prod = abs(coeff)
-        for slot, slot_key in enumerate(key):
-            ck = (op.signature[slot], slot_key)
-            if ck not in cache:
-                cache[ck] = _monomial_window_max(slot_key, op.signature[slot],
-                                                 cutoff, q)
-            prod *= cache[ck]
+        for slot_key, space in zip(key, op.signature):
+            prod *= _monomial_window_max(slot_key, space, cutoff, q)
             if prod == 0.0:
                 break
         total += prod

@@ -10,15 +10,17 @@ the matrix coproduct
 
 Numerical verifiers check the quadratic orthogonality relations (with the
 antidiagonal metric fixed below), the reflection-equation relations as a
-diagnostic, and equality of tables built from different words.
+diagnostic, and equality of tables built from different words.  Every
+relation is built from the nonzero images only, and one evaluator measures
+them all: the structural monomial bound first, the dense window where the
+bound does not clear the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import qoperators as qo
+from . import qoperators as qo, weylb
 from .qoperators import TensorOperator, WeightedShiftSum
 
 Word = tuple[int, ...]
@@ -221,6 +223,9 @@ def metric_weights(n: int, q: float) -> list[complex]:
     return out
 
 
+MAX_REPORT = 10     # offending quadruples a verify_frt report lists
+
+
 @dataclass
 class RelationReport:
     max_deviation: float
@@ -229,6 +234,34 @@ class RelationReport:
 
     def ok(self, tol: float) -> bool:
         return self.max_deviation < tol
+
+
+def _rows_and_columns(table: GeneratorImageTable) -> tuple[dict, dict]:
+    """The nonzero images by row, {k: {l: op}}, and by column, {l: {k: op}},
+    each in ascending order."""
+    rows: dict[int, dict[int, TensorOperator]] = {}
+    cols: dict[int, dict[int, TensorOperator]] = {}
+    for (k, l), op in sorted(table.images.items()):
+        rows.setdefault(k, {})[l] = op
+        cols.setdefault(l, {})[k] = op
+    return rows, cols
+
+
+def _measure(report: RelationReport, tag: tuple, terms: list[TensorOperator],
+             rhs: complex, sig: tuple[str, ...], cutoff: int, q: float,
+             tol: float) -> float:
+    """Window deviation of the relation sum(terms) = rhs * I; the report
+    keeps the largest deviation and its tag."""
+    lhs = qo.add(*terms) if terms else qo.zero_operator(sig)
+    rel = qo.add(lhs, qo.scale(-rhs, qo.identity_operator(sig)))
+    # the cheap structural bound is sharp for vanishing relations; fall back
+    # to the dense window otherwise
+    dev = qo.window_deviation_bound(rel, cutoff, q)
+    if dev >= tol:
+        dev = qo.window_magnitude(rel, cutoff, q)
+    if dev > report.max_deviation:
+        report.max_deviation, report.worst = dev, tag
+    return dev
 
 
 def verify_orthogonality(table: GeneratorImageTable, cutoff: int, q: float,
@@ -243,154 +276,101 @@ def verify_orthogonality(table: GeneratorImageTable, cutoff: int, q: float,
     entrywise as operators.  Returns the maximal window deviation over all
     (i, j) and both families.
     """
-    n, size = table.n, table.size
-    c = metric_weights(n, q)
+    size = table.size
+    c = metric_weights(table.n, q)
+    rows, cols = _rows_and_columns(table)
     report = RelationReport(0.0)
-    sig = table.signature
     for i in range(1, size + 1):
         for j in range(1, size + 1):
-            for fam in (1, 2):
-                terms = []
-                for k in range(1, size + 1):
-                    kp = size + 1 - k
-                    if fam == 1:
-                        a = table.entry(i, k)
-                        b = table.entry(size + 1 - j, kp)
-                    else:
-                        a = table.entry(k, i)
-                        b = table.entry(kp, j)
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    terms.append(qo.scale(c[k - 1], qo.compose(a, b)))
-                if fam == 1:
-                    rhs = c[i - 1] if i == j else 0.0
-                else:
-                    rhs = c[i - 1] if (size + 1 - i) == j else 0.0
-                lhs = qo.add(*terms) if terms else qo.zero_operator(sig)
-                rel = qo.add(lhs, qo.scale(-rhs, qo.identity_operator(sig)))
-                # the cheap structural bound is sharp for vanishing
-                # relations; fall back to the dense window otherwise
-                dev = qo.window_deviation_bound(rel, cutoff, q)
-                if dev >= tol:
-                    dev = qo.window_magnitude(rel, cutoff, q)
-                if dev > report.max_deviation:
-                    report.max_deviation = dev
-                    report.worst = (fam, i, j)
+            # family 1 pairs row i with row j', family 2 column i with
+            # column j, at mirrored positions k and k'
+            for fam, first, second, delta in (
+                    (1, rows.get(i, {}), rows.get(size + 1 - j, {}), i == j),
+                    (2, cols.get(i, {}), cols.get(j, {}), i + j == size + 1)):
+                terms = [qo.scale(c[k - 1], qo.compose(a, second[size + 1 - k]))
+                         for k, a in first.items() if size + 1 - k in second]
+                _measure(report, (fam, i, j), terms, c[i - 1] if delta else 0.0,
+                         table.signature, cutoff, q, tol)
     return report
 
 
-def _halfinteger_weights(n: int) -> list[Fraction]:
-    rho = []
-    for i in range(1, 2 * n + 2):
-        if i <= n:
-            rho.append(Fraction(2 * n + 1, 2) - i)
-        elif i == n + 1:
-            rho.append(Fraction(0))
-        else:
-            rho.append(-(Fraction(2 * n + 1, 2) - (2 * n + 2 - i)))
-    return rho
-
-
 def r_matrix_entries(n: int, q: float) -> dict[tuple[int, int, int, int], float]:
-    """Nonzero entries R^{ij}_{mn} of the literal two-case reflection matrix.
+    """Nonzero entries R^{ij}_{mn} of the literal two-case reflection matrix,
+    in lexicographic order: R^{ij}_{ij} = q^{delta_ij - delta_{i+j,N+1}}, and
+    for i > m, R^{im}_{mi} = q - q^{-1} and
+    R^{ii}_{mm} = -(q - q^{-1}) q^{-rho_i - rho_m}, with the half-integer
+    weights rho = (N/2 - 1, ..., 1/2, 0, -1/2, ..., 1 - N/2).
 
     Shipped for the diagnostic check only; the transcription in circulation
     is suspect, so nothing gates on it.
     """
     size = 2 * n + 1
-    rho = _halfinteger_weights(n)
-    ent: dict[tuple[int, int, int, int], float] = {}
-
-    def qp(x: Fraction) -> float:
-        return q ** float(x)
-
+    rho = [size / 2 - i if i <= n else 0.0 if i == n + 1 else size / 2 + 1 - i
+           for i in range(1, size + 1)]
+    ent = {(i, j, i, j): q ** (int(i == j) - int(i + j == size + 1))
+           for i in range(1, size + 1) for j in range(1, size + 1)}
     for i in range(1, size + 1):
-        ip = size + 1 - i
-        for j in range(1, size + 1):
-            for m in range(1, size + 1):
-                for nn in range(1, size + 1):
-                    val = 0.0
-                    if i == m and j == nn:
-                        val += q ** ((1 if i == j else 0) - (1 if i + j == size + 1 else 0))
-                    if i > m:
-                        extra = 0.0
-                        if j == m and i == nn:
-                            extra += 1.0
-                        if i == j and m == nn:
-                            extra -= qp(-rho[j - 1] - rho[m - 1])
-                        val += (q - 1.0 / q) * extra
-                    if val:
-                        ent[(i, j, m, nn)] = val
-    return ent
+        for m in range(1, i):
+            ent[(i, m, m, i)] = q - 1.0 / q
+            ent[(i, i, m, m)] = (q - 1.0 / q) * -q ** (-rho[i - 1] - rho[m - 1])
+    return dict(sorted(ent.items()))
 
 
 def verify_frt(table: GeneratorImageTable, cutoff: int, q: float,
-               tol: float = 1e-8, max_report: int = 10) -> RelationReport:
+               tol: float = 1e-8) -> RelationReport:
     """Diagnostic evaluation of the quadratic exchange relations.
 
     For each (i, j, s, t) forms sum_{k,l} [ R^{ji}_{kl} v_s^k v_t^l
-    - R^{lk}_{st} v_k^i v_l^j ] and reports window deviations; offending
-    quadruples are collected rather than gated on.
+    - R^{lk}_{st} v_k^i v_l^j ] and reports window deviations; the first
+    MAX_REPORT offending quadruples are collected rather than gated on.
     """
-    n, size = table.n, table.size
-    R = r_matrix_entries(n, q)
+    size = table.size
+    R = r_matrix_entries(table.n, q)
     by_upper: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
     for (a, b, m, nn), val in R.items():
         by_upper.setdefault((a, b), []).append((m, nn, val))
+    rows, cols = _rows_and_columns(table)
     report = RelationReport(0.0)
-    sig = table.signature
     for i in range(1, size + 1):
         for j in range(1, size + 1):
             for s in range(1, size + 1):
                 for t in range(1, size + 1):
-                    terms = []
-                    for k, l, val in by_upper.get((j, i), ()):
-                        a = table.entry(k, s)
-                        b = table.entry(l, t)
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        terms.append(qo.scale(val, qo.compose(a, b)))
-                    for k in range(1, size + 1):
-                        a = table.entry(i, k)
-                        if a.is_zero():
-                            continue
-                        for l in range(1, size + 1):
-                            b = table.entry(j, l)
-                            if b.is_zero():
-                                continue
+                    col_s, col_t = cols.get(s, {}), cols.get(t, {})
+                    terms = [qo.scale(val, qo.compose(col_s[k], col_t[l]))
+                             for k, l, val in by_upper.get((j, i), ())
+                             if k in col_s and l in col_t]
+                    for k, a in rows.get(i, {}).items():
+                        for l, b in rows.get(j, {}).items():
                             val = R.get((l, k, s, t))
                             if val:
                                 terms.append(qo.scale(-val, qo.compose(a, b)))
                     if not terms:
                         continue
-                    rel = qo.add(*terms)
-                    dev = qo.window_magnitude(rel, cutoff, q)
-                    if dev > report.max_deviation:
-                        report.max_deviation = dev
-                        report.worst = (i, j, s, t)
-                    if dev > tol and len(report.details) < max_report:
+                    dev = _measure(report, (i, j, s, t), terms, 0.0,
+                                   table.signature, cutoff, q, tol)
+                    if dev > tol and len(report.details) < MAX_REPORT:
                         report.details.append(((i, j, s, t), dev))
     return report
 
 
 def tables_equal(a: GeneratorImageTable, b: GeneratorImageTable, cutoff: int,
                  q: float, tol: float = 1e-8) -> tuple[bool, float]:
-    """Entrywise window comparison of two tables of equal signature."""
+    """Entrywise window comparison of two tables of equal signature, over the
+    positions where either table has a nonzero image."""
     if a.n != b.n or a.signature != b.signature:
         raise ValueError("tables are not comparable")
+    zero = qo.zero_operator(a.signature)
     worst = 0.0
-    for k in range(1, a.size + 1):
-        for l in range(1, a.size + 1):
-            dev = qo.max_window_deviation(a.entry(k, l), b.entry(k, l),
-                                          cutoff, q)
-            worst = max(worst, dev)
+    for kl in sorted(set(a.images) | set(b.images)):
+        dev = qo.max_window_deviation(a.images.get(kl, zero),
+                                      b.images.get(kl, zero), cutoff, q)
+        worst = max(worst, dev)
     return worst < tol, worst
 
 
 def verify_braid_independence(spec1: RepSpec, spec2: RepSpec, cutoff: int,
                               q: float, tol: float = 1e-8) -> tuple[bool, float]:
     """Compare the tables of two words required to define the same element."""
-    from . import weylb
     if spec1.n != spec2.n:
         raise ValueError("rank mismatch")
     w1 = weylb.from_word(spec1.word, spec1.n)

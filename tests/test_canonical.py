@@ -3,10 +3,10 @@
 Every operation returns a canonical operator: TensorOperator.canonical,
 GeneratorImageTable.set and scale rely on this, they take their inputs as
 canonical and do not canonicalise them again.  Window evaluation at fixed
-q agrees with symbolic application.  The adjoint is an involution and
-composition is associative.  All of these run on the process-wide memo
-tables of the per-slot calculus, so they also check that earlier examples
-leave no stale hits behind.
+q agrees with symbolic application, and the structural deviation bound
+bounds it.  The adjoint is an involution and composition is associative.
+All of these run on the process-wide memo tables of the per-slot calculus,
+so they also check that earlier examples leave no stale hits behind.
 """
 
 import itertools
@@ -98,6 +98,16 @@ def test_window_profiles_agree_with_apply_operator(op):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
+def test_deviation_bound_bounds_the_window(op):
+    # the relation checks report the structural bound in place of the
+    # dense window whenever it is below tolerance
+    cutoff, q = 4, 0.5
+    assert qo.window_magnitude(op, cutoff, q) \
+        <= qo.window_deviation_bound(op, cutoff, q) * (1 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
 def test_adjoint_is_an_involution(op):
     assert qo.adjoint(qo.adjoint(op)).key() == op.key()
 
@@ -125,6 +135,15 @@ def test_monomial_memo_is_keyed_on_q():
     for q in (0.5, 0.3, 0.5):
         assert qo.monomial_decomposition(op, q) == {((0, 1, ()),): q}
         assert coeff.monomials(q) == (((1, ()), q),)
+
+
+def test_window_bound_memo_is_keyed_on_slot_cutoff_and_q():
+    # q^N peaks at the lowest window index: 0 on an N slot, -cutoff on Z
+    for space, cutoff, q, peak in (("N", 4, 0.5, 1.0), ("Z", 4, 0.5, 16.0),
+                                   ("Z", 6, 0.5, 64.0), ("Z", 4, 0.25, 256.0),
+                                   ("Z", 4, 0.5, 16.0)):
+        op = qo.elementary_tensor([qo.q_power(1, 0, space)])
+        assert qo.window_deviation_bound(op, cutoff, q) == peak
 
 
 def test_memo_tells_signed_zeros_apart():

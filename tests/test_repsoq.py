@@ -145,6 +145,32 @@ def test_orthogonality_catches_corrupted_table():
     t2.set(1, 2, qo.scale(-1.0, t2.entry(1, 2)))
     rep = repsoq.verify_orthogonality(t2, 4, Q)
     assert rep.max_deviation > 1e-3
+    # a relation whose partner image is absent is measured all the same
+    t3 = elementary_table(1, 2)
+    del t3.images[(1, 2)]
+    rep = repsoq.verify_orthogonality(t3, 4, Q)
+    assert rep.max_deviation > 1e-3
+
+
+def test_r_matrix_entries():
+    for n in (1, 2):
+        size = 2 * n + 1
+        R = repsoq.r_matrix_entries(n, Q)
+        assert len(R) == size ** 2 + size * (size - 1)
+        assert list(R) == sorted(R)
+        # diagonal block q^{delta_ij - delta_{i+j,N+1}}
+        assert R[(1, 1, 1, 1)] == pytest.approx(Q)
+        assert R[(1, size, 1, size)] == pytest.approx(1 / Q)
+        assert R[(n + 1, n + 1, n + 1, n + 1)] == pytest.approx(1.0)
+        assert R[(1, 2, 1, 2)] == pytest.approx(1.0)
+        # below the diagonal: q - 1/q, and -(q - 1/q) q^{-rho_i - rho_m}
+        assert R[(2, 1, 1, 2)] == pytest.approx(Q - 1 / Q)
+        assert R[(size, size, 1, 1)] == pytest.approx(1 / Q - Q)
+        assert (1, 2, 2, 1) not in R and (1, 1, 2, 2) not in R
+    # rho = (1/2, 0, -1/2) at n = 1 and (3/2, 1/2, 0, -1/2, -3/2) at n = 2
+    assert repsoq.r_matrix_entries(1, Q)[(2, 2, 1, 1)] == \
+        pytest.approx(1.5 * 2 ** 0.5)
+    assert repsoq.r_matrix_entries(2, Q)[(2, 2, 1, 1)] == pytest.approx(6.0)
 
 
 def test_orthogonality_convolved_word():
