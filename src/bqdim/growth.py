@@ -19,12 +19,13 @@ Lower bounds are certified by explicit witness words.  A witness system is
 a list of letters (operator, slot, step) that raise or lower one tensor
 slot each: single generator images, recovered part by part through the
 embedding maps, in the module case; the circle driver h0 and the pairs
-h_j = h0* g, h_j* in the homogeneous case.  One pattern shell enumerates
-the exponent patterns with their predicted basis index and word.  One
-verifier, verify_witnesses, checks for both certificates that each word
-lands on its index; the patterns are counted (the lower bound) and, in the
-homogeneous case, their words ranked.  Witness landing stays on symbolic
-apply_operator, independent of the kernel.
+h_j = h0* g, h_j* in the homogeneous case.  One walk enumerates the
+exponent patterns with their predicted basis index and computes each
+pattern's word from its parent, one letter shorter.  verify_witnesses walks
+with apply_operator from the vacuum and checks for both certificates that
+each word lands on its index; the patterns are counted (the lower bound)
+and, in the homogeneous case, walked with compose and ranked.  Witness
+landing stays on symbolic apply_operator, independent of the kernel.
 Upper bounds come from the window read off the table, prod_s (D_s r + 1)
 with D_s the largest shift on slot s (module case), and a per-slot
 container count (algebra case).
@@ -368,7 +369,7 @@ def exponent_estimate(series: GrowthSeries) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# witness letters: one pattern shell, one verifier
+# witness letters: one pattern walk, one verifier
 # ---------------------------------------------------------------------------
 
 # A witness letter (operator, slot, step) moves the index of one tensor slot
@@ -443,30 +444,37 @@ def _single_support(vec: SparseVector) -> tuple[int, ...] | None:
     return key
 
 
-def _apply_word(word: list[TensorOperator], vec: SparseVector,
-                q: float) -> SparseVector:
-    for op in word:
-        vec = qo.apply_operator(op, vec, q)
-    return vec
-
-
-def _witness_shell(letters: list[Letter], signature: tuple[str, ...],
-                   total: int):
-    """Yield (exponents, predicted index, word) for every exponent pattern
-    of the given total whose predicted index is >= 0 on every N slot.
+def _witness_walk(letters: list[Letter], signature: tuple[str, ...],
+                  budget: int, start, act):
+    """Yield (exponents, predicted index, value) for every exponent pattern
+    of total <= budget whose predicted index is >= 0 on every N slot, totals
+    ascending, lexicographic within a total.
 
     Letter e acts exponents[e] times, letters in order, and adds step times
-    its exponent to the predicted index of its slot.  The witness works when
-    the word sends the vacuum to the predicted index.
+    its exponent to the predicted index of its slot.  The empty pattern's
+    value is start; any other is act(op, value of its parent), the pattern
+    with one use fewer of its last letter, whose operator is op.  A parent
+    is admissible when each lowering letter follows its slot's raising
+    letter; a missing one raises ValueError.
     """
-    for exps in _compositions(len(letters), total):
-        index = [0] * len(signature)
-        for (_, slot, step), e in zip(letters, exps):
-            index[slot] += step * e
-        if any(v < 0 for v, kind in zip(index, signature) if kind == "N"):
-            continue
-        word = [op for (op, _, _), e in zip(letters, exps) for _ in range(e)]
-        yield exps, tuple(index), word
+    previous = {(0,) * len(letters): start}
+    yield (0,) * len(letters), (0,) * len(signature), start
+    for total in range(1, budget + 1):
+        current = {}
+        for exps in _compositions(len(letters), total):
+            index = [0] * len(signature)
+            for (_, slot, step), e in zip(letters, exps):
+                index[slot] += step * e
+            if any(v < 0 for v, kind in zip(index, signature) if kind == "N"):
+                continue
+            last = max(e for e, x in enumerate(exps) if x)
+            parent = exps[:last] + (exps[last] - 1,) + exps[last + 1:]
+            if parent not in previous:
+                raise ValueError(f"witness pattern {exps} has no "
+                                 f"admissible parent {parent}")
+            current[exps] = act(letters[last][0], previous[parent])
+            yield exps, tuple(index), current[exps]
+        previous = current
 
 
 def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
@@ -474,14 +482,14 @@ def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
     """Check that every witness pattern of total <= budget lands on its
     predicted basis vector with full relative mass."""
     report = {"patterns": 0, "failures": []}
-    for total in range(budget + 1):
-        for exps, index, word in _witness_shell(letters, signature, total):
-            report["patterns"] += 1
-            support = _single_support(
-                _apply_word(word, qo.vacuum(signature), q))
-            if support != index:
-                report["failures"].append({"exponents": exps, "index": index,
-                                           "support": support})
+    for exps, index, vec in _witness_walk(
+            letters, signature, budget, qo.vacuum(signature),
+            lambda op, v: qo.apply_operator(op, v, q)):
+        report["patterns"] += 1
+        support = _single_support(vec)
+        if support != index:
+            report["failures"].append({"exponents": exps, "index": index,
+                                       "support": support})
     report["ok"] = not report["failures"]
     return report
 
@@ -505,9 +513,13 @@ class GrowthCertificate:
         return self.witness_ok and all(row["ok"] for row in self.rows)
 
 
+# witness patterns of total <= this land in every certificate, whatever r_max
+_WITNESS_BUDGET = 4
+
+
 def module_certificate(spec: RepSpec, r_max: int, q: float,
-                       basis_cap: int = 20000,
-                       witness_budget: int = 4) -> tuple[GrowthSeries, GrowthCertificate]:
+                       basis_cap: int = 20000
+                       ) -> tuple[GrowthSeries, GrowthCertificate]:
     """Sandwich certificate for the module growth of one element.
 
     The series and the witnesses are both computed on the canonical
@@ -515,7 +527,7 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     tensor slots.  Each witness of total s is a word of s generator images
     (A = 1), so the patterns of total <= r put binom(r + l, l) distinct
     basis vectors into the span of words of length <= r.  One
-    verify_witnesses call over the totals up to max(r_max, witness_budget)
+    verify_witnesses call over the totals up to max(r_max, _WITNESS_BUDGET)
     checks them all; row r needs every pattern of total <= r to land.
     """
     n = spec.n
@@ -529,7 +541,7 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     series.context["input_word"] = list(spec.word)
     d = dict(series.values)
     report = verify_witnesses(witness_chain(w, n), ("N",) * lw, q,
-                              max(r_max, witness_budget))
+                              max(r_max, _WITNESS_BUDGET))
     first_failure = min((sum(f["exponents"]) for f in report["failures"]),
                         default=math.inf)
     rows = []
@@ -541,7 +553,7 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
                                                         "slope": 0.0}
     return series, GrowthCertificate(lw, rows,
-                                      first_failure > witness_budget, est)
+                                      first_failure > _WITNESS_BUDGET, est)
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +703,7 @@ def algebra_container_bound(n: int, m: int, w: SignedPermutation, r: int) -> int
 
 
 def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
-                            probe_cutoff: int = 4, basis_cap: int = 20000,
-                            witness_budget: int = 4
+                            probe_cutoff: int = 4, basis_cap: int = 20000
                             ) -> tuple[GrowthSeries, GrowthCertificate]:
     """Witness/rank certificate for the homogeneous-space growth.
 
@@ -720,17 +731,16 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     d = dict(series.values)
     letters = homogeneous_witnesses(n, m, w)
     sig = letters[0][0].signature
-    witness_ok = verify_witnesses(letters, sig, q, witness_budget)["ok"]
-    ident = qo.identity_operator(sig)
+    witness_ok = verify_witnesses(letters, sig, q, _WITNESS_BUDGET)["ok"]
+    fingerprints = [[] for _ in range(r_max + 1)]
+    for exps, _, word in _witness_walk(letters, sig, r_max,
+                                       qo.identity_operator(sig), qo.compose):
+        fingerprints[sum(exps)].append(qo.monomial_decomposition(word, q))
     ech = Echelon()
     lower, rows = 0, []
     for r in range(r_max + 1):
-        for _, _, word in _witness_shell(letters, sig, r):
+        for fp in fingerprints[r]:
             lower += 1
-            word_op = ident
-            for g in word:
-                word_op = qo.compose(g, word_op)
-            fp = qo.monomial_decomposition(word_op, q)
             if fp:
                 ech.add(fp)
         container = algebra_container_bound(n, m, w, r)

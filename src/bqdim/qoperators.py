@@ -20,21 +20,17 @@ operators into term combinations and evaluates each distinct coefficient
 once over an index range.  The module growth kernel and the window
 evaluation behind the relation checks (window_profiles) both run on it.
 
-The per-slot symbolic calculus is memoised for the life of the process,
+The per-slot symbolic calculus is cached for the life of the process,
 because growth series and relation checks take the same few slot factors
-into tens of thousands of tensor products.  Each of these is computed once
-per distinct input and shared afterwards: WeightedShiftSum.compose per
-operand pair, Coefficient.monomials per (coefficient, q), the expansion of
-one factor inside monomial_decomposition per (factor, q), the window
-maximum of one slot monomial inside window_deviation_bound per (monomial,
-slot kind, cutoff, q), and the constant that TensorOperator.canonical pulls
-out of a single-term factor, with the normalised factor and its key(), per
-factor.  The keys are exact: shifts, exponents and radicals as integers,
-and every constant and q by its repr, which round-trips a float and,
-unlike ==, tells -0.0 from 0.0 and an int from a complex.  Equal keys
-therefore mean bit-identical arithmetic, so a hit returns exactly what
-recomputing would.  Cached values are tuples, floats and frozen objects,
-which no caller can change.
+into tens of thousands of tensor products.  Coefficient and
+WeightedShiftSum compare and hash by their exact_key: integers, and every
+constant by its repr, which unlike == tells -0.0 from 0.0 and an int from
+a complex.  Equal values thus mean bit-identical arithmetic, so typed
+functools caches keyed on them return what recomputing would: slot
+compose, the factor expansions of monomial_decomposition, the slot window
+maxima of window_deviation_bound and the factor normalisation of
+TensorOperator.canonical.  q lies in (0, 1), where float == means equal
+bits.  Cached values are tuples, floats and frozen objects.
 """
 
 from __future__ import annotations
@@ -58,33 +54,13 @@ class QDomainError(ValueError):
     """A radical 1 - q^(a k + b) was evaluated where it is negative."""
 
 
-def _memoised(key):
-    """Cache a function's results for the life of the process, under key(*args).
-
-    Threads that miss on one key together each compute and store the same
-    value, so the table needs no lock."""
-    def wrap(fn):
-        table: dict = {}
-
-        @functools.wraps(fn)
-        def cached(*args):
-            k = key(*args)
-            try:
-                return table[k]
-            except KeyError:
-                out = table[k] = fn(*args)
-                return out
-        return cached
-    return wrap
-
-
 def _round_complex(z: complex) -> complex:
     re = round(z.real, 12) + 0.0   # normalise -0.0
     im = round(z.imag, 12) + 0.0
     return complex(re, im)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coefficient:
     """Symbolic product coefficient; see the module docstring."""
 
@@ -138,7 +114,13 @@ class Coefficient:
         """The fields, the constant as its repr: equal keys, equal arithmetic."""
         return (repr(self.const), self.qa, self.qb, self.h, self.radicals)
 
-    @_memoised(lambda self, q: (self.exact_key, repr(q)))
+    def __eq__(self, other):
+        return (isinstance(other, Coefficient)
+                and self.exact_key == other.exact_key)
+
+    def __hash__(self):
+        return hash(self.exact_key)
+
     def monomials(self, q: float) -> tuple[tuple[tuple, complex], ...]:
         """Expansion into structurally independent monomials at fixed q.
 
@@ -210,7 +192,7 @@ def _fmt_complex(z: complex) -> str:
 ONE = Coefficient()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedShiftSum:
     """A finite sum of shift terms on one sequence-space slot."""
 
@@ -243,7 +225,14 @@ class WeightedShiftSum:
     def exact_key(self) -> tuple:
         return (self.space,) + tuple((d,) + c.exact_key for d, c in self.terms)
 
-    @_memoised(lambda self, other: (self.exact_key, other.exact_key))
+    def __eq__(self, other):
+        return (isinstance(other, WeightedShiftSum)
+                and self.exact_key == other.exact_key)
+
+    def __hash__(self):
+        return hash(self.exact_key)
+
+    @functools.lru_cache(maxsize=None, typed=True)
     def compose(self, other: "WeightedShiftSum") -> "WeightedShiftSum":
         """Operator product self o other (other applied first)."""
         if self.space != other.space:
@@ -404,7 +393,7 @@ class TensorOperator:
         return " + ".join(bits)
 
 
-@_memoised(lambda f: f.exact_key)
+@functools.lru_cache(maxsize=None, typed=True)
 def _normalised(f: WeightedShiftSum) -> tuple:
     """(constant, factor, key) of a nonzero factor in canonical summands: a
     single term gives up its constant, a longer factor stays as it is and
@@ -500,13 +489,13 @@ class SparseVector:
     def norm_inf(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
-    def cleaned(self, tol: float = DROP_TOL) -> "SparseVector":
+    def cleaned(self) -> "SparseVector":
         # purely relative to the vector's own scale: witness products have
         # geometrically small but genuinely nonzero amplitudes
         scale_ = self.norm_inf()
         if scale_ == 0:
             return SparseVector(self.signature, {})
-        kept = {k: v for k, v in self.entries.items() if abs(v) > tol * scale_}
+        kept = {k: v for k, v in self.entries.items() if abs(v) > DROP_TOL * scale_}
         return SparseVector(self.signature, kept)
 
 
@@ -547,11 +536,6 @@ def apply_operator(op: TensorOperator, vec: SparseVector, q: float) -> SparseVec
             for t, a in partial:
                 out[t] = out.get(t, 0j) + a
     return SparseVector(vec.signature, out).cleaned()
-
-
-def inner(u: SparseVector, v: SparseVector) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    return sum(a.conjugate() * v.entries.get(k, 0j) for k, a in u.entries.items())
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +671,11 @@ def max_window_deviation(a: TensorOperator, b: TensorOperator, cutoff: int,
 
 def window_magnitude(op: TensorOperator, cutoff: int, q: float) -> float:
     """max over window basis vectors e_k of ||op e_k||_inf."""
-    return max_window_deviation(op, zero_operator(op.signature), cutoff, q)
+    if not op.signature:
+        return abs(_scalar_window_value(op))
+    return max((float(np.abs(a).max())
+                for a in window_profiles(op, cutoff, q).values() if a.size),
+               default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +704,7 @@ def monomial_decomposition(op: TensorOperator, q: float) -> dict:
     return {k: v for k, v in flat.items() if v != 0}
 
 
-@_memoised(lambda f, q: (f.exact_key, repr(q)))
+@functools.lru_cache(maxsize=None, typed=True)
 def _slot_monomials(f: WeightedShiftSum, q: float) -> tuple:
     """(shift degree, q-power slope, radicals) keys of one factor with their
     values, terms in order."""
@@ -724,8 +712,7 @@ def _slot_monomials(f: WeightedShiftSum, q: float) -> tuple:
                  for struct, val in c.monomials(q))
 
 
-@_memoised(lambda slot_key, space, cutoff, q: (slot_key, space, cutoff,
-                                                repr(q)))
+@functools.lru_cache(maxsize=None, typed=True)
 def _monomial_window_max(slot_key: tuple, space: str, cutoff: int,
                          q: float) -> float:
     d, qa, radicals = slot_key
@@ -741,8 +728,6 @@ def window_deviation_bound(op: TensorOperator, cutoff: int, q: float) -> float:
     Sharp for functionally zero operators (their expansion collapses), so
     relation checks can skip the dense window evaluation when this bound
     is already below tolerance."""
-    if not op.signature:
-        return abs(_scalar_window_value(op))
     total = 0.0
     for key, coeff in monomial_decomposition(op, q).items():
         prod = abs(coeff)

@@ -236,24 +236,12 @@ class RelationReport:
         return self.max_deviation < tol
 
 
-def _rows_and_columns(table: GeneratorImageTable) -> tuple[dict, dict]:
-    """The nonzero images by row, {k: {l: op}}, and by column, {l: {k: op}},
-    each in ascending order."""
-    rows: dict[int, dict[int, TensorOperator]] = {}
-    cols: dict[int, dict[int, TensorOperator]] = {}
-    for (k, l), op in sorted(table.images.items()):
-        rows.setdefault(k, {})[l] = op
-        cols.setdefault(l, {})[k] = op
-    return rows, cols
-
-
 def _measure(report: RelationReport, tag: tuple, terms: list[TensorOperator],
              rhs: complex, sig: tuple[str, ...], cutoff: int, q: float,
              tol: float) -> float:
     """Window deviation of the relation sum(terms) = rhs * I; the report
     keeps the largest deviation and its tag."""
-    lhs = qo.add(*terms) if terms else qo.zero_operator(sig)
-    rel = qo.add(lhs, qo.scale(-rhs, qo.identity_operator(sig)))
+    rel = qo.add(*terms, qo.scale(-rhs, qo.identity_operator(sig)))
     # the cheap structural bound is sharp for vanishing relations; fall back
     # to the dense window otherwise
     dev = qo.window_deviation_bound(rel, cutoff, q)
@@ -278,7 +266,12 @@ def verify_orthogonality(table: GeneratorImageTable, cutoff: int, q: float,
     """
     size = table.size
     c = metric_weights(table.n, q)
-    rows, cols = _rows_and_columns(table)
+    # the nonzero images by row, {k: {l: op}}, and by column, {l: {k: op}}
+    rows: dict[int, dict[int, TensorOperator]] = {}
+    cols: dict[int, dict[int, TensorOperator]] = {}
+    for (k, l), op in sorted(table.images.items()):
+        rows.setdefault(k, {})[l] = op
+        cols.setdefault(l, {})[k] = op
     report = RelationReport(0.0)
     for i in range(1, size + 1):
         for j in range(1, size + 1):
@@ -325,31 +318,29 @@ def verify_frt(table: GeneratorImageTable, cutoff: int, q: float,
     MAX_REPORT offending quadruples are collected rather than gated on.
     """
     size = table.size
-    R = r_matrix_entries(table.n, q)
     by_upper: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-    for (a, b, m, nn), val in R.items():
+    for (a, b, m, nn), val in r_matrix_entries(table.n, q).items():
         by_upper.setdefault((a, b), []).append((m, nn, val))
-    rows, cols = _rows_and_columns(table)
     report = RelationReport(0.0)
     for i in range(1, size + 1):
         for j in range(1, size + 1):
-            for s in range(1, size + 1):
-                for t in range(1, size + 1):
-                    col_s, col_t = cols.get(s, {}), cols.get(t, {})
-                    terms = [qo.scale(val, qo.compose(col_s[k], col_t[l]))
-                             for k, l, val in by_upper.get((j, i), ())
-                             if k in col_s and l in col_t]
-                    for k, a in rows.get(i, {}).items():
-                        for l, b in rows.get(j, {}).items():
-                            val = R.get((l, k, s, t))
-                            if val:
-                                terms.append(qo.scale(-val, qo.compose(a, b)))
-                    if not terms:
-                        continue
-                    dev = _measure(report, (i, j, s, t), terms, 0.0,
-                                   table.signature, cutoff, q, tol)
-                    if dev > tol and len(report.details) < MAX_REPORT:
-                        report.details.append(((i, j, s, t), dev))
+            # the terms of every (i, j, s, t) by (s, t), R^{ji}_{kl} first
+            terms: dict[tuple[int, int], list[TensorOperator]] = {}
+            for k, l, val in by_upper[(j, i)]:
+                for s, a in table.row(k):
+                    for t, b in table.row(l):
+                        terms.setdefault((s, t), []).append(
+                            qo.scale(val, qo.compose(a, b)))
+            for k, a in table.row(i):
+                for l, b in table.row(j):
+                    for s, t, val in by_upper[(l, k)]:
+                        terms.setdefault((s, t), []).append(
+                            qo.scale(-val, qo.compose(a, b)))
+            for (s, t), quad_terms in sorted(terms.items()):
+                dev = _measure(report, (i, j, s, t), quad_terms, 0.0,
+                               table.signature, cutoff, q, tol)
+                if dev > tol and len(report.details) < MAX_REPORT:
+                    report.details.append(((i, j, s, t), dev))
     return report
 
 

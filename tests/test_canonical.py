@@ -5,7 +5,7 @@ GeneratorImageTable.set and scale rely on this, they take their inputs as
 canonical and do not canonicalise them again.  Window evaluation at fixed
 q agrees with symbolic application, and the structural deviation bound
 bounds it.  The adjoint is an involution and composition is associative.
-All of these run on the process-wide memo tables of the per-slot calculus,
+All of these run on the process-wide caches of the per-slot calculus,
 so they also check that earlier examples leave no stale hits behind.
 """
 
@@ -106,6 +106,41 @@ def test_deviation_bound_bounds_the_window(op):
         <= qo.window_deviation_bound(op, cutoff, q) * (1 + 1e-12)
 
 
+def _values(op):
+    """Every factor of op and every coefficient of those factors, each with
+    a fresh copy that shares no object with it."""
+    factors = [f for _, fs in op.summands for f in fs]
+    coeffs = [c for f in factors for _, c in f.terms]
+    return (factors + [qo.WeightedShiftSum(f.space, tuple(
+                (d, qo.Coefficient(c.const, c.qa, c.qb, c.h, c.radicals))
+                for d, c in f.terms)) for f in factors],
+            coeffs + [c.scaled(1) for c in coeffs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ONE_SLOT, TWO_SLOT, CIRCLE]).flatmap(
+    lambda ops: st.tuples(ops, ops)))
+def test_equality_is_exact_key_equality(ops):
+    # the caches key on these values, so == must mean equal exact keys
+    factors, coeffs = map(list, zip(*map(_values, ops)))
+    for group in (factors[0] + factors[1], coeffs[0] + coeffs[1]):
+        for a, b in itertools.product(group, repeat=2):
+            assert (a == b) == (a.exact_key == b.exact_key)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
+def test_add_of_a_canonical_operator_is_itself(op):
+    # what lets a relation be summed by one add over all its terms: the
+    # factors keep their exact keys, the scalars their values (a zero part
+    # may change sign, which no magnitude sees)
+    again = qo.add(op)
+    assert [(s, tuple(f.exact_key for f in fs)) for s, fs in again.summands] \
+        == [(s, tuple(f.exact_key for f in fs)) for s, fs in op.summands]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
 def test_adjoint_is_an_involution(op):
@@ -147,9 +182,10 @@ def test_window_bound_memo_is_keyed_on_slot_cutoff_and_q():
 
 
 def test_memo_tells_signed_zeros_apart():
-    # == and hash conflate -0.0 with 0.0; the products do not
+    # complex == conflates -0.0 with 0.0; the products do not, so neither
+    # may the factors, on which the caches are keyed
     plus, minus = qo.constant(complex(-1.0, 0.0)), qo.constant(complex(-1.0, -0.0))
-    assert plus == minus
+    assert plus != minus
     first = qo.constant(complex(-1.0, 0.0))
     consts = [repr(first.compose(f).terms[0][1].const) for f in (plus, minus)]
     assert consts == ["(1-0j)", "(1+0j)"]

@@ -103,15 +103,26 @@ def test_module_upper_reads_shift_bounds_off_table(word, upper):
     assert [row["upper"] for row in cert.rows] == [upper(r) for r in range(6)]
 
 
+def _applied(q):
+    return lambda op, vec: qo.apply_operator(op, vec, q)
+
+
+def _landings(letters, budget):
+    """The witness images of a module chain, by exponent pattern."""
+    sig = ("N",) * len(letters)
+    return {exps: vec for exps, _, vec in growth._witness_walk(
+        letters, sig, budget, qo.vacuum(sig), _applied(Q))}
+
+
 def test_witness_last_part_single_letters():
     # depth-two raising letter of the one-letter element
     letters = growth.witness_chain(weylb.from_word((1,), 2), 2)
     assert len(letters) == 1
     op, slot, step = letters[-1]
     assert (slot, step) == (0, 1)
+    images = _landings(letters, 3)
     for z in range(1, 4):
-        vec_z = growth._apply_word([op] * z, qo.vacuum(("N",)), Q)
-        assert set(vec_z.entries) == {(z,)}
+        assert set(images[(z,)].entries) == {(z,)}
 
 
 def test_witness_case_split_with_middle_letter():
@@ -120,8 +131,7 @@ def test_witness_case_split_with_middle_letter():
     table = repsoq.rep_table(RepSpec(1, (1,)))
     assert [(op.key(), slot, step) for op, slot, step in letters] == \
         [(table.entry(3, 2).key(), 0, 1)]
-    vec = growth._apply_word([letters[-1][0]] * 3, qo.vacuum(("N",)), Q)
-    assert set(vec.entries) == {(3,)}
+    assert set(_landings(letters, 3)[(3,)].entries) == {(3,)}
 
 
 def test_witness_long_part_permutation():
@@ -287,19 +297,72 @@ def test_homogeneous_witness_independence_fingerprints():
     letters = growth.homogeneous_witnesses(1, 1, w)
     sig = growth.homogeneous_rep(1, 1, w).signature
     ech = growth.Echelon()
-    added = 0
-    for total in range(4):
-        for _, _, word in growth._witness_shell(letters, sig, total):
-            op = qo.identity_operator(sig)
-            for g in word:
-                op = qo.compose(g, op)
-            fp = qo.monomial_decomposition(op, Q)
-            if fp and ech.add(fp) is not None:
-                added += 1
+    added = n_patterns = 0
+    for _, _, op in growth._witness_walk(letters, sig, 3,
+                                         qo.identity_operator(sig), qo.compose):
+        n_patterns += 1
+        fp = qo.monomial_decomposition(op, Q)
+        if fp and ech.add(fp) is not None:
+            added += 1
     # distinct patterns are linearly independent operator words
-    n_patterns = sum(1 for t in range(4)
-                     for _ in growth._witness_shell(letters, sig, t))
     assert added == n_patterns
+
+
+def _exact(op):
+    """Summand scalars by repr and factors by exact key: equal means equal
+    bits."""
+    return [(repr(s), tuple(f.exact_key for f in fs)) for s, fs in op.summands]
+
+
+def _walk_letters(case):
+    kind, n, arg = case
+    if kind == "module":
+        return growth.witness_chain(weylb.from_word(arg, n), n)
+    w = weylb.longest_quotient_element(
+        n, weylb.ParabolicSubset.homogeneous(n, arg))
+    return growth.homogeneous_witnesses(n, arg, w)
+
+
+@pytest.mark.parametrize("case,counts", [
+    (("module", 2, (1, 2, 1, 2)), [1, 4, 10, 20]),
+    (("module", 3, (1, 2, 3, 2, 1)), [1, 5, 15, 35]),
+    (("homogeneous", 2, 1), [1, 6, 25]),
+    (("homogeneous", 2, 2), [1, 4, 13, 32])])
+def test_witness_walk_equals_words_replayed(case, counts):
+    """Each walk value, computed from its parent, equals the pattern's word
+    applied letter by letter from scratch: the same apply_operator entries
+    bit for bit, and compose products with equal exact keys."""
+    letters = _walk_letters(case)
+    sig = letters[0][0].signature
+    budget = len(counts) - 1
+    vacuum, ident = qo.vacuum(sig), qo.identity_operator(sig)
+    walked = list(growth._witness_walk(letters, sig, budget, vacuum,
+                                       _applied(Q)))
+    composed = list(growth._witness_walk(letters, sig, budget, ident,
+                                         qo.compose))
+    assert [p[:2] for p in walked] == [p[:2] for p in composed]
+    assert [sum(sum(p[0]) == t for p in walked) for t in range(budget + 1)] \
+        == counts
+    for (exps, _, vec), (_, _, op) in zip(walked, composed):
+        word = [g for (g, _, _), e in zip(letters, exps) for _ in range(e)]
+        replayed, product = vacuum, ident
+        for g in word:
+            replayed = qo.apply_operator(g, replayed, Q)
+            product = qo.compose(g, product)
+        assert {k: repr(v) for k, v in vec.entries.items()} == \
+            {k: repr(v) for k, v in replayed.entries.items()}, exps
+        assert list(vec.entries) == list(replayed.entries), exps
+        assert _exact(op) == _exact(product), exps
+
+
+def test_witness_walk_refuses_a_lowering_letter_first():
+    # (1, 1) lands on e_0, but its parent (1, 0) lowers the vacuum
+    letters = [(qo.elementary_tensor([qo.shift_down()]), 0, -1),
+               (qo.elementary_tensor([qo.shift_up()]), 0, 1)]
+    walk = growth._witness_walk(letters, ("N",), 2, qo.vacuum(("N",)),
+                                _applied(Q))
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        list(walk)
 
 
 def brute_algebra_dims(n, m, w, r_max, trunc=9):
@@ -409,8 +472,7 @@ def test_homogeneous_multi_family_chain():
 
 
 def test_homogeneous_certificate_full_flag():
-    _, cert = growth.homogeneous_certificate(2, 1, 2, Q, probe_cutoff=2,
-                                             witness_budget=3)
+    _, cert = growth.homogeneous_certificate(2, 1, 2, Q, probe_cutoff=2)
     assert cert.target == 10
     assert cert.target == weylb.classical_dimensions(2, 1)["quotient_dim"]
     assert cert.ok
@@ -502,7 +564,6 @@ def test_homogeneous_lower_counts_witness_patterns(n, m, r_max, lower):
 
 def test_homogeneous_certificate_reports_witness_failure(
         shifted_homogeneous_witness):
-    _, cert = growth.homogeneous_certificate(1, 1, 1, Q, probe_cutoff=1,
-                                             witness_budget=2)
+    _, cert = growth.homogeneous_certificate(1, 1, 1, Q, probe_cutoff=1)
     assert cert.witness_ok is False
     assert cert.ok is False
