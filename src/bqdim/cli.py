@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from dataclasses import dataclass
@@ -40,8 +41,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise UsageError(f"q must lie in (0,1), got {self.q}")
-        if self.tol <= 0:
-            raise UsageError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise UsageError(f"tol must be positive and finite, got {self.tol}")
         if min(self.cutoff, self.probe_cutoff) < 0 or self.r_max < 0:
             raise UsageError("window sizes must be nonnegative")
         if self.basis_cap <= 0:

@@ -22,15 +22,18 @@ evaluation behind the relation checks (window_profiles) both run on it.
 
 The per-slot symbolic calculus is cached for the life of the process,
 because growth series and relation checks take the same few slot factors
-into tens of thousands of tensor products.  Coefficient and
-WeightedShiftSum compare and hash by their exact_key: integers, and every
-constant by its repr, which unlike == tells -0.0 from 0.0 and an int from
-a complex.  Equal values thus mean bit-identical arithmetic, so typed
-functools caches keyed on them return what recomputing would: slot
-compose, the factor expansions of monomial_decomposition, the slot window
-maxima of window_deviation_bound and the factor normalisation of
-TensorOperator.canonical.  q lies in (0, 1), where float == means equal
-bits.  Cached values are tuples, floats and frozen objects.
+into tens of thousands of tensor products.  Every coefficient constant
+and every canonical summand scalar is stored as a complex without a
+signed zero (z + 0j turns -0.0 into 0.0), so constants that == calls
+equal are the same bits: no -0.0 against 0.0, no int against complex.
+Coefficient and WeightedShiftSum compare, hash and sort by one exact_key,
+the integers and the constant's repr: equal values mean bit-identical
+arithmetic, so typed functools caches keyed on them return what
+recomputing would: slot compose, the factor expansions of
+monomial_decomposition, the slot window maxima of window_deviation_bound
+and the factor normalisation of TensorOperator.canonical.  q lies in
+(0, 1), where float == means equal bits.  Cached values are tuples,
+floats and frozen objects.
 """
 
 from __future__ import annotations
@@ -54,12 +57,6 @@ class QDomainError(ValueError):
     """A radical 1 - q^(a k + b) was evaluated where it is negative."""
 
 
-def _round_complex(z: complex) -> complex:
-    re = round(z.real, 12) + 0.0   # normalise -0.0
-    im = round(z.imag, 12) + 0.0
-    return complex(re, im)
-
-
 @dataclass(frozen=True, eq=False)
 class Coefficient:
     """Symbolic product coefficient; see the module docstring."""
@@ -69,6 +66,9 @@ class Coefficient:
     qb: int = 0
     h: int = 0
     radicals: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "const", complex(self.const) + 0j)
 
     def shifted(self, s: int) -> "Coefficient":
         """Substitute N -> N + s."""
@@ -112,7 +112,7 @@ class Coefficient:
     @functools.cached_property
     def exact_key(self) -> tuple:
         """The fields, the constant as its repr: equal keys, equal arithmetic."""
-        return (repr(self.const), self.qa, self.qb, self.h, self.radicals)
+        return self.structure_key() + (repr(self.const),)
 
     def __eq__(self, other):
         return (isinstance(other, Coefficient)
@@ -152,10 +152,6 @@ class Coefficient:
             out[key] = out.get(key, 0j) + val
         return tuple((k, v) for k, v in sorted(out.items(), key=lambda kv: kv[0])
                      if v != 0)
-
-    def full_key(self):
-        return (self.qa, self.qb, self.h, self.radicals,
-                repr(_round_complex(self.const)))
 
     def render(self) -> str:
         bits = []
@@ -213,9 +209,7 @@ class WeightedShiftSum:
                                               c.h, c.radicals))
             else:
                 merged[key] = (d, c)
-        total = sum(abs(c.const) for _, c in merged.values()) or 1.0
-        kept = [(d, c) for _, (d, c) in sorted(merged.items())
-                if abs(c.const) > _MERGE_TOL * total]
+        kept = [(d, c) for _, (d, c) in sorted(merged.items()) if c.const != 0]
         return WeightedShiftSum(self.space, tuple(kept))
 
     def is_zero(self) -> bool:
@@ -223,7 +217,7 @@ class WeightedShiftSum:
 
     @functools.cached_property
     def exact_key(self) -> tuple:
-        return (self.space,) + tuple((d,) + c.exact_key for d, c in self.terms)
+        return (self.space,) + tuple((d, c.exact_key) for d, c in self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, WeightedShiftSum)
@@ -268,9 +262,6 @@ class WeightedShiftSum:
             if amp != 0:
                 out.append((tgt, amp))
         return out
-
-    def key(self):
-        return (self.space,) + tuple((d, c.full_key()) for d, c in self.terms)
 
     def render(self) -> str:
         if not self.terms:
@@ -349,34 +340,26 @@ class TensorOperator:
         for scalar, factors in self.summands:
             if len(factors) != len(self.signature):
                 raise ValueError("factor count does not match signature")
-            norm_factors, keys = [], []
+            if any(f.is_zero() for f in factors):
+                continue
+            norm_factors = []
             for f in factors:
-                if f.is_zero():
-                    scalar = 0.0
-                    break
-                const, f, key = _normalised(f)
-                if const is not None:
-                    scalar *= const
+                const, f = _normalised(f)
+                scalar *= const
                 norm_factors.append(f)
-                keys.append(key)
             if scalar == 0:
                 continue
-            key = tuple(keys)
+            key = tuple(f.exact_key for f in norm_factors)
             if key in collected:
                 scalar += collected[key][0]
             collected[key] = (scalar, tuple(norm_factors))
         total = sum(abs(s) for s, _ in collected.values()) or 1.0
-        kept = [(s, fs) for _, (s, fs) in sorted(collected.items())
+        kept = [(s + 0j, fs) for _, (s, fs) in sorted(collected.items())
                 if abs(s) > _MERGE_TOL * total]
         return TensorOperator(self.signature, tuple(kept))
 
     def is_zero(self) -> bool:
         return not self.summands
-
-    def key(self):
-        return (self.signature,
-                tuple((repr(_round_complex(s)),) + tuple(f.key() for f in fs)
-                      for s, fs in self.summands))
 
     def render(self) -> str:
         if not self.summands:
@@ -395,14 +378,13 @@ class TensorOperator:
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _normalised(f: WeightedShiftSum) -> tuple:
-    """(constant, factor, key) of a nonzero factor in canonical summands: a
-    single term gives up its constant, a longer factor stays as it is and
-    gives None."""
+    """(constant, factor) of a nonzero factor in canonical summands: a single
+    term gives up its constant, a longer factor stays as it is and gives 1
+    (a product with 1 can only change the sign of a zero part)."""
     if len(f.terms) != 1:
-        return None, f, f.key()
+        return 1, f
     d, c = f.terms[0]
-    f = WeightedShiftSum(f.space, ((d, c.scaled(1.0 / c.const)),))
-    return c.const, f, f.key()
+    return c.const, WeightedShiftSum(f.space, ((d, c.scaled(1.0 / c.const)),))
 
 
 def _bracket(s: str) -> str:
@@ -419,10 +401,7 @@ def identity_operator(signature: Iterable[str]) -> TensorOperator:
 
 
 def scalar_operator(signature: Iterable[str], z: complex) -> TensorOperator:
-    sig = tuple(signature)
-    if z == 0:
-        return zero_operator(sig)
-    return TensorOperator(sig, ((complex(z), tuple(identity_shift(s) for s in sig)),))
+    return scale(z, identity_operator(signature))
 
 
 def elementary_tensor(factors: Iterable[WeightedShiftSum],
@@ -448,7 +427,7 @@ def scale(z: complex, op: TensorOperator) -> TensorOperator:
     if z == 0:
         return zero_operator(op.signature)
     return TensorOperator(op.signature,
-                          tuple((s * z, fs) for s, fs in op.summands))
+                          tuple((s * z + 0j, fs) for s, fs in op.summands))
 
 
 def tensor(a: TensorOperator, b: TensorOperator) -> TensorOperator:
@@ -630,6 +609,7 @@ def window_profiles(op: TensorOperator, cutoff: int, q: float
         groups.setdefault(shifts, []).append(c)
     out: dict[tuple[int, ...], np.ndarray] = {}
     for shifts, combos in groups.items():
+        scalars = table.scalar[combos]
         profiles = []
         for s, kind in enumerate(op.signature):
             prof = table.coefficients[table.term[combos, s]]
@@ -639,17 +619,12 @@ def window_profiles(op: TensorOperator, cutoff: int, q: float
             if np.isnan(prof).any():
                 raise QDomainError(
                     f"negative radicand exponent on slot {s} in the window")
-            profiles.append(prof)
-        profiles[0] = profiles[0] * table.scalar[combos][:, None]
+            profiles.append(prof if s else prof * scalars[:, None])
         letters = "abcdefghijklmnop"[:len(shifts)]
         spec = ",".join(f"z{ch}" for ch in letters) + "->" + letters
-        out[shifts] = np.einsum(spec, *profiles)
+        # a signature-free operator is the sum of its scalars
+        out[shifts] = np.einsum(spec, *profiles) if profiles else scalars.sum()
     return out
-
-
-def _scalar_window_value(op: TensorOperator) -> complex:
-    # signature-free operators are plain scalars
-    return sum(s for s, _ in op.summands)
 
 
 def max_window_deviation(a: TensorOperator, b: TensorOperator, cutoff: int,
@@ -657,8 +632,6 @@ def max_window_deviation(a: TensorOperator, b: TensorOperator, cutoff: int,
     """max over window basis vectors e_k of ||(a-b) e_k||_inf."""
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
-    if not a.signature:
-        return abs(_scalar_window_value(a) - _scalar_window_value(b))
     pa = window_profiles(a, cutoff, q)
     pb = window_profiles(b, cutoff, q)
     dev = 0.0
@@ -671,8 +644,6 @@ def max_window_deviation(a: TensorOperator, b: TensorOperator, cutoff: int,
 
 def window_magnitude(op: TensorOperator, cutoff: int, q: float) -> float:
     """max over window basis vectors e_k of ||op e_k||_inf."""
-    if not op.signature:
-        return abs(_scalar_window_value(op))
     return max((float(np.abs(a).max())
                 for a in window_profiles(op, cutoff, q).values() if a.size),
                default=0.0)

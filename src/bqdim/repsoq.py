@@ -26,6 +26,13 @@ from .qoperators import TensorOperator, WeightedShiftSum
 Word = tuple[int, ...]
 
 
+def _check_unit_modulus(t: tuple[complex, ...]) -> None:
+    """Refuse a torus point off the unit circle (NaN and inf included)."""
+    for z in t:
+        if not abs(abs(z) - 1.0) <= 1e-12:
+            raise ValueError(f"torus entry {z} is not unit modulus")
+
+
 @dataclass(frozen=True)
 class RepSpec:
     """Data selecting one of the standard irreducible modules."""
@@ -43,9 +50,7 @@ class RepSpec:
         if self.t is not None:
             if len(self.t) != self.n:
                 raise ValueError("torus point must have n entries")
-            for z in self.t:
-                if abs(abs(z) - 1.0) > 1e-12:
-                    raise ValueError(f"torus entry {z} is not unit modulus")
+            _check_unit_modulus(self.t)
 
     @property
     def torus(self) -> tuple[complex, ...]:
@@ -169,9 +174,7 @@ def torus_scalars(t: tuple[complex, ...], n: int) -> list[complex]:
 
 def torus_table(t: tuple[complex, ...], n: int) -> GeneratorImageTable:
     """One-dimensional table: node k carries a unit scalar."""
-    for z in t:
-        if abs(abs(z) - 1.0) > 1e-12:
-            raise ValueError(f"torus entry {z} is not unit modulus")
+    _check_unit_modulus(t)
     table = GeneratorImageTable(n, ())
     for k, c in enumerate(torus_scalars(tuple(t), n), start=1):
         table.set(k, k, qo.scalar_operator((), c))

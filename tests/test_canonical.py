@@ -43,8 +43,7 @@ CIRCLE = _combinations(st.builds(
 
 def _is_canonical(op):
     factors = [f for _, fs in op.summands for f in fs]
-    return (op.canonical().key() == op.key()
-            and all(f.canonical().key() == f.key() for f in factors))
+    return op.canonical() == op and all(f.canonical() == f for f in factors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,18 +132,17 @@ def test_equality_is_exact_key_equality(ops):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
 def test_add_of_a_canonical_operator_is_itself(op):
-    # what lets a relation be summed by one add over all its terms: the
-    # factors keep their exact keys, the scalars their values (a zero part
-    # may change sign, which no magnitude sees)
+    # what lets a relation be summed by one add over all its terms: bit for
+    # bit, so the scalars keep their reprs, signs of zero parts included
     again = qo.add(op)
-    assert [(s, tuple(f.exact_key for f in fs)) for s, fs in again.summands] \
-        == [(s, tuple(f.exact_key for f in fs)) for s, fs in op.summands]
+    assert [(repr(s), fs) for s, fs in again.summands] \
+        == [(repr(s), fs) for s, fs in op.summands]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
 def test_adjoint_is_an_involution(op):
-    assert qo.adjoint(qo.adjoint(op)).key() == op.key()
+    assert qo.adjoint(qo.adjoint(op)) == op
 
 
 def _close(x, y, rel=1e-12):
@@ -181,11 +179,11 @@ def test_window_bound_memo_is_keyed_on_slot_cutoff_and_q():
         assert qo.window_deviation_bound(op, cutoff, q) == peak
 
 
-def test_memo_tells_signed_zeros_apart():
-    # complex == conflates -0.0 with 0.0; the products do not, so neither
-    # may the factors, on which the caches are keyed
-    plus, minus = qo.constant(complex(-1.0, 0.0)), qo.constant(complex(-1.0, -0.0))
-    assert plus != minus
-    first = qo.constant(complex(-1.0, 0.0))
+def test_constants_carry_no_signed_zero():
+    # complex == conflates -0.0 with 0.0 and the caches key on ==, so the
+    # constants drop the sign of a zero part: equal values, equal products
+    plus, minus = qo.constant(-1 + 0j), qo.constant(complex(-1.0, -0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    first = qo.constant(-1 + 0j)
     consts = [repr(first.compose(f).terms[0][1].const) for f in (plus, minus)]
-    assert consts == ["(1-0j)", "(1+0j)"]
+    assert consts == ["(1+0j)", "(1+0j)"]

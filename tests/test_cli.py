@@ -90,6 +90,27 @@ def test_rep_verify_bad_torus(capsys):
     assert "error: torus entry (2+0j) is not unit modulus" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rep", "verify", "--q", "1.5"], "q must lie in (0,1), got 1.5"),
+    (["gkdim", "module", "--q", "nan"], "q must lie in (0,1), got nan"),
+    (["rep", "verify", "--tol", "0"], "tol must be positive and finite, got 0.0"),
+    (["rep", "verify", "--tol", "nan"], "tol must be positive and finite, got nan"),
+    (["rep", "verify", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    (["rep", "verify", "--cutoff", "-1"], "window sizes must be nonnegative"),
+    (["gkdim", "module", "--rmax", "-1"], "window sizes must be nonnegative"),
+    (["gkdim", "module", "--probe", "-1"], "window sizes must be nonnegative"),
+    (["gkdim", "module", "--basis-cap", "0"], "basis cap must be positive"),
+    # NaN compares false with every bound, so no check may read a false
+    # comparison as a pass
+    (["gkdim", "module", "--rmax", "3", "--t=nan,0"],
+     "torus entry (nan+0j) is not unit modulus"),
+])
+def test_run_parameters_are_refused(argv, message, capsys):
+    code, out, err = run_cli(argv[:2] + ["--n", "1", "--word", "1"] + argv[2:],
+                             capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_rep_entry_render(capsys):
     code, out, _ = run_cli(["rep", "entry", "--n", "3", "--word", "1,2,3,2,1",
                             "--k", "4", "--l", "4"], capsys)

@@ -129,8 +129,7 @@ def test_witness_case_split_with_middle_letter():
     # the one-letter rank-one element needs the single-raising column
     letters = growth.witness_chain(weylb.from_word((1,), 1), 1)
     table = repsoq.rep_table(RepSpec(1, (1,)))
-    assert [(op.key(), slot, step) for op, slot, step in letters] == \
-        [(table.entry(3, 2).key(), 0, 1)]
+    assert letters == [(table.entry(3, 2), 0, 1)]
     assert set(_landings(letters, 3)[(3,)].entries) == {(3,)}
 
 
@@ -141,8 +140,8 @@ def test_witness_long_part_permutation():
     letters = growth.witness_chain(w, 2)
     assert [slot for _, slot, _ in letters] == [0, 1, 2]
     table = repsoq.rep_table(RepSpec(2, weylb.normal_form(w).word()))
-    assert [op.key() for op, _, _ in letters] == \
-        [table.entry(5, l).key() for l in (4, 3, 2)]
+    assert [op for op, _, _ in letters] == \
+        [table.entry(5, l) for l in (4, 3, 2)]
 
 
 def test_verify_witnesses_flags_shifted_slot():
@@ -263,12 +262,12 @@ def test_homogeneous_rep_structure():
     # the central row has an identity circle factor
     op = eta.entry(2, 2)
     _, factors = op.summands[0]
-    assert factors[0].key() == qo.identity_shift("Z").key()
+    assert factors[0] == qo.identity_shift("Z")
     # the top row shifts the circle slot up, the bottom row down
     top = eta.entry(3, 1)
-    assert top.summands[0][1][0].key() == qo.shift_up("Z").key()
+    assert top.summands[0][1][0] == qo.shift_up("Z")
     bottom = eta.entry(1, 3)
-    assert bottom.summands[0][1][0].key() == qo.shift_down("Z").key()
+    assert bottom.summands[0][1][0] == qo.shift_down("Z")
 
 
 def test_homogeneous_rep_rejects_non_quotient_element():

@@ -125,15 +125,15 @@ def test_adjoint_inner_product_contract():
 def test_adjoint_is_involutive():
     op = qo.elementary_tensor([qo.product(qo.sqrt_radical(2, 2), qo.shift_down()),
                                qo.shift_up()], scalar=2 - 1j)
-    assert qo.adjoint(qo.adjoint(op)).key() == op.canonical().key()
+    assert qo.adjoint(qo.adjoint(op)) == op.canonical()
 
 
 def test_adjoint_of_weighted_shift():
     a_dn = qo.product(qo.sqrt_radical(4, 4), qo.shift_down())
     a_up = qo.product(qo.shift_up(), qo.sqrt_radical(4, 4))
-    assert a_dn.adjoint().key() == a_up.key()
+    assert a_dn.adjoint() == a_up
     diag = qo.q_power(1, 0)
-    assert diag.adjoint().key() == diag.key()
+    assert diag.adjoint() == diag
 
 
 def test_linearity_of_apply():
@@ -193,3 +193,21 @@ def test_render_is_readable():
     mid = qo.identity_shift().add(
         qo.product(qo.sqrt_one_plus_q2(2), qo.q_power(2, 0)).scaled(-1))
     assert "1+q^2" in mid.render()
+
+
+def test_factor_merges_are_exact():
+    # a term goes only when its merged constant is exactly zero, however
+    # small it is next to the others
+    q2n = qo.q_power(2, 0)
+    assert q2n.add(q2n.scaled(-1)).is_zero()
+    small = qo.identity_shift().add(q2n.scaled(1e-14))
+    assert [c.const for _, c in small.terms] == [1, 1e-14]
+
+
+def test_signature_free_windows():
+    # an operator on no slots is a scalar on a one-point window
+    two, half = qo.scalar_operator((), 2.0), qo.scalar_operator((), 0.5j)
+    assert qo.window_profiles(two, 3, Q) == {(): 2.0}
+    assert qo.window_profiles(qo.zero_operator(()), 3, Q) == {}
+    assert qo.window_magnitude(two, 3, Q) == 2.0
+    assert qo.max_window_deviation(two, half, 3, Q) == abs(2.0 - 0.5j)
