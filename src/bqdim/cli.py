@@ -204,8 +204,8 @@ def _series_csv(rows: list[dict]) -> str:
 
 
 def cmd_gkdim(args) -> int:
-    cfg = RunConfig(q=args.q, r_max=args.rmax, probe_cutoff=args.probe,
-                    basis_cap=args.basis_cap)
+    cfg = RunConfig(q=args.q, r_max=args.rmax, basis_cap=args.basis_cap,
+                    probe_cutoff=getattr(args, "probe", RunConfig.probe_cutoff))
     try:
         if args.gkdim_mode == "module":
             n = args.n
@@ -317,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", default=None)
         else:
             p.add_argument("--m", type=int, required=True)
+            p.add_argument("--probe", type=int, default=4)
         p.add_argument("--rmax", type=int, default=8)
         p.add_argument("--q", type=float, default=0.5)
         p.add_argument("--basis-cap", type=int, default=20000)
         p.add_argument("--csv", default=None, help="write the series as CSV")
-        p.add_argument("--probe", type=int, default=4)
     gkdim.set_defaults(func=cmd_gkdim)
     return parser
 

@@ -7,13 +7,13 @@ by sparse Gaussian elimination with a canonical pivot order.  Module growth
 runs it on vectors, from the vacuum, through a kernel compiled once per run
 at fixed q: basis indices are flat integers, every coefficient is evaluated
 once, and a block of frontier vectors is expanded by gather and
-scatter-add, with the rounding and the drops of apply_operator.  Algebra
-growth runs it on operator words kept in closed symbolic form; their rank
-is exact because each word expands over structurally independent
-monomials.  It runs once more on the action of the words on the probe
-vectors, on the same kernel: circle slots take negative indices, and one
-frontier element stacks a word's images of all probes.  That rank is
-recorded alongside as a lower-bound cross-check.
+scatter-add, with the rounding, the drops and the index order of
+apply_operator.  Algebra growth runs it on operator words kept in closed
+symbolic form; their rank is exact because each word expands over
+structurally independent monomials.  It runs once more on the action of
+the words on the probe vectors, on the same kernel: circle slots take
+negative indices, and one frontier element stacks a word's images of all
+probes.  That rank is recorded alongside as a lower-bound cross-check.
 
 Lower bounds are certified by explicit witness words.  A witness system is
 a list of letters (operator, slot, step) that raise or lower one tensor
@@ -23,9 +23,10 @@ h_j = h0* g, h_j* in the homogeneous case.  One walk enumerates the
 exponent patterns with their predicted basis index and computes each
 pattern's word from its parent, one letter shorter.  verify_witnesses walks
 with apply_operator from the vacuum and checks for both certificates that
-each word lands on its index; the patterns are counted (the lower bound)
-and, in the homogeneous case, walked with compose and ranked.  Witness
-landing stays on symbolic apply_operator, independent of the kernel.
+each word's image is supported on exactly its index; the patterns are
+counted (the lower bound) and, in the homogeneous case, walked with
+compose and ranked.  Witness landing stays on symbolic apply_operator,
+independent of the kernel.
 Upper bounds come from the window read off the table, prod_s (D_s r + 1)
 with D_s the largest shift on slot s (module case), and a per-slot
 container count (algebra case).
@@ -178,7 +179,7 @@ class ModuleKernel:
     reach 0.  expand applies every generator to a block of elements at once
     by gather, shift and scatter-add over the compiled table.  Each stacked
     image equals apply_operator's images of the stacked vectors: the same
-    entries in the same order, rounded the same way, with the same entries
+    entries in index order, rounded the same way, with the same entries
     dropped.
     """
 
@@ -292,13 +293,13 @@ class ModuleKernel:
             nonzero &= (c_re != 0) | (c_im != 0)
             re, im = re * c_re - im * c_im, re * c_im + im * c_re
         e, c, re, im = e[nonzero], c[nonzero], re[nonzero], im[nonzero]
-        # scatter-add per (candidate, probe, target), in input order like a
-        # dict; the probe offset rides in the keys
+        # scatter-add per (candidate, probe, target), each target's terms in
+        # input order like a dict; key order is index order within an image,
+        # as apply_operator returns it; the probe offset rides in the keys
         stack = self.probes * self.size
         cand = owner[e] * self.n_gens + t.operator[c]
-        uniq, first, inv = np.unique(
-            cand * stack + keys[e] - self._shift_key[c],
-            return_index=True, return_inverse=True)
+        uniq, inv = np.unique(cand * stack + keys[e] - self._shift_key[c],
+                              return_inverse=True)
         sums = np.bincount(inv, weights=re, minlength=len(uniq)) + 0j
         sums.imag = np.bincount(inv, weights=im, minlength=len(uniq))
         # SparseVector.cleaned per image: drop relative to the max of one
@@ -310,14 +311,7 @@ class ModuleKernel:
             scale = np.maximum.reduceat(mag, starts)
             keep = mag > qo.DROP_TOL * np.repeat(
                 scale, np.diff(np.r_[starts, len(mag)]))
-            uniq, image, sums, first = (uniq[keep], image[keep],
-                                        sums[keep], first[keep])
-        # every image lists its indices in the order of their first
-        # contribution, as apply_operator's dict does, so the next step
-        # sums in the same order; the images of one candidate follow each
-        # other probe by probe
-        order = np.lexsort((first, image))
-        uniq, image, sums = uniq[order], image[order], sums[order]
+            uniq, image, sums = uniq[keep], image[keep], sums[keep]
         bounds = np.searchsorted(
             image, np.arange(len(block) * self.n_gens + 1) * self.probes)
         for cand, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -426,24 +420,6 @@ def _compositions(slots: int, total: int):
             yield (v,) + rest
 
 
-# share of a landed witness image's squared mass off its one basis index
-_LANDING_TOL = 1e-8
-
-
-def _single_support(vec: SparseVector) -> tuple[int, ...] | None:
-    """The one basis index a vector is concentrated on up to noise, or None.
-
-    The concentration test is relative: witness amplitudes are products of
-    many q-power weights and can be very small while exactly nonzero."""
-    if not vec.entries:
-        return None
-    key, amp = max(vec.entries.items(), key=lambda kv: abs(kv[1]))
-    mass = sum(abs(v) ** 2 for v in vec.entries.values())
-    if amp == 0 or abs(amp) ** 2 < (1.0 - _LANDING_TOL) * mass:
-        return None
-    return key
-
-
 def _witness_walk(letters: list[Letter], signature: tuple[str, ...],
                   budget: int, start, act):
     """Yield (exponents, predicted index, value) for every exponent pattern
@@ -480,16 +456,16 @@ def _witness_walk(letters: list[Letter], signature: tuple[str, ...],
 def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
                      q: float, budget: int = 4) -> dict:
     """Check that every witness pattern of total <= budget lands on its
-    predicted basis vector with full relative mass."""
+    predicted basis vector: the image's support is that one index, with no
+    other entry however small.  A failure records the image's indices."""
     report = {"patterns": 0, "failures": []}
     for exps, index, vec in _witness_walk(
             letters, signature, budget, qo.vacuum(signature),
             lambda op, v: qo.apply_operator(op, v, q)):
         report["patterns"] += 1
-        support = _single_support(vec)
-        if support != index:
+        if list(vec.entries) != [index]:
             report["failures"].append({"exponents": exps, "index": index,
-                                       "support": support})
+                                       "support": list(vec.entries)})
     report["ok"] = not report["failures"]
     return report
 
@@ -529,7 +505,10 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     basis vectors into the span of words of length <= r.  One
     verify_witnesses call over the totals up to max(r_max, _WITNESS_BUDGET)
     checks them all; row r needs every pattern of total <= r to land.
+    The r = 0 row alone pins no growth degree, so r_max must be >= 1.
     """
+    if r_max < 1:
+        raise ValueError(f"a certificate needs r_max >= 1, got {r_max}")
     n = spec.n
     w = weylb.from_word(spec.word, n)
     lw = weylb.length(w)
@@ -716,8 +695,10 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     count and the measured series stays under the container upper bound.
     One verify_witnesses call checks the landing of every witness up to
     the budget, as in module_certificate; the words of total <= r_max are
-    ranked.
+    ranked; r_max must be >= 1, as there.
     """
+    if r_max < 1:
+        raise ValueError(f"a certificate needs r_max >= 1, got {r_max}")
     R = ParabolicSubset.homogeneous(n, m)
     w = weylb.longest_quotient_element(n, R)
     lw = weylb.length(w)

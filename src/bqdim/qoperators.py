@@ -14,11 +14,12 @@ k - d < 0; a radical whose exponent vanishes makes the whole coefficient
 zero before any negativity check, which is what keeps compositions of the
 boundary-vanishing shifts exact.
 
-apply_operator applies an operator symbolically, term by term.  Every
-evaluation at fixed q goes through compile_table instead: it expands
-operators into term combinations and evaluates each distinct coefficient
-once over an index range.  The module growth kernel and the window
-evaluation behind the relation checks (window_profiles) both run on it.
+apply_operator applies an operator symbolically, term by term, and lists
+the image's entries in index order.  Every evaluation at fixed q goes
+through compile_table instead: it expands operators into term
+combinations and evaluates each distinct coefficient once over an index
+range.  The module growth kernel and the window evaluation behind the
+relation checks (window_profiles) both run on it.
 
 The per-slot symbolic calculus is cached for the life of the process,
 because growth series and relation checks take the same few slot factors
@@ -33,7 +34,8 @@ recomputing would: slot compose, the factor expansions of
 monomial_decomposition, the slot window maxima of window_deviation_bound
 and the factor normalisation of TensorOperator.canonical.  q lies in
 (0, 1), where float == means equal bits.  Cached values are tuples,
-floats and frozen objects.
+floats and frozen objects.  Both canonical forms merge exactly and drop
+only exact zeros: the symbolic calculus has no tolerance.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import numpy as np
 UNILATERAL = "N"
 BILATERAL = "Z"
 
-_MERGE_TOL = 1e-13
 DROP_TOL = 1e-12
 
 
@@ -334,8 +335,8 @@ class TensorOperator:
     summands: tuple[tuple[complex, tuple[WeightedShiftSum, ...]], ...] = ()
 
     def canonical(self) -> "TensorOperator":
-        """Merge equal summands; the factors must already be canonical, as
-        every WeightedShiftSum method and elementary_tensor returns them."""
+        """Merge equal summands exactly; the factors must already be canonical,
+        as every WeightedShiftSum method and elementary_tensor returns them."""
         collected: dict[tuple, tuple[complex, tuple[WeightedShiftSum, ...]]] = {}
         for scalar, factors in self.summands:
             if len(factors) != len(self.signature):
@@ -347,15 +348,11 @@ class TensorOperator:
                 const, f = _normalised(f)
                 scalar *= const
                 norm_factors.append(f)
-            if scalar == 0:
-                continue
             key = tuple(f.exact_key for f in norm_factors)
             if key in collected:
                 scalar += collected[key][0]
             collected[key] = (scalar, tuple(norm_factors))
-        total = sum(abs(s) for s, _ in collected.values()) or 1.0
-        kept = [(s + 0j, fs) for _, (s, fs) in sorted(collected.items())
-                if abs(s) > _MERGE_TOL * total]
+        kept = [(s + 0j, fs) for _, (s, fs) in sorted(collected.items()) if s != 0]
         return TensorOperator(self.signature, tuple(kept))
 
     def is_zero(self) -> bool:
@@ -514,7 +511,7 @@ def apply_operator(op: TensorOperator, vec: SparseVector, q: float) -> SparseVec
                 partial = [(t + (j,), a * c) for t, a in partial for j, c in imgs]
             for t, a in partial:
                 out[t] = out.get(t, 0j) + a
-    return SparseVector(vec.signature, out).cleaned()
+    return SparseVector(vec.signature, dict(sorted(out.items()))).cleaned()
 
 
 # ---------------------------------------------------------------------------

@@ -98,17 +98,31 @@ def test_rep_verify_bad_torus(capsys):
     (["rep", "verify", "--tol", "inf"], "tol must be positive and finite, got inf"),
     (["rep", "verify", "--cutoff", "-1"], "window sizes must be nonnegative"),
     (["gkdim", "module", "--rmax", "-1"], "window sizes must be nonnegative"),
-    (["gkdim", "module", "--probe", "-1"], "window sizes must be nonnegative"),
+    (["gkdim", "homogeneous", "--probe", "-1"],
+     "window sizes must be nonnegative"),
     (["gkdim", "module", "--basis-cap", "0"], "basis cap must be positive"),
     # NaN compares false with every bound, so no check may read a false
     # comparison as a pass
     (["gkdim", "module", "--rmax", "3", "--t=nan,0"],
      "torus entry (nan+0j) is not unit modulus"),
+    # the r = 0 row alone pins no growth degree, so it certifies nothing
+    (["gkdim", "module", "--rmax", "0"], "a certificate needs r_max >= 1, got 0"),
+    (["gkdim", "homogeneous", "--rmax", "0"],
+     "a certificate needs r_max >= 1, got 0"),
 ])
 def test_run_parameters_are_refused(argv, message, capsys):
-    code, out, err = run_cli(argv[:2] + ["--n", "1", "--word", "1"] + argv[2:],
+    instance = ["--m", "1"] if argv[1] == "homogeneous" else ["--word", "1"]
+    code, out, err = run_cli(argv[:2] + ["--n", "1"] + instance + argv[2:],
                              capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_module_mode_takes_no_probe(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gkdim", "module", "--n", "1", "--word", "1", "--rmax", "2",
+                  "--probe", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --probe 1" in capsys.readouterr().err
 
 
 def test_rep_entry_render(capsys):

@@ -155,6 +155,15 @@ def test_verify_witnesses_flags_shifted_slot():
     assert rep["failures"]
 
 
+def test_verify_witnesses_needs_the_exact_support():
+    # a small amplitude off the predicted index is a failure, not noise
+    op = qo.elementary_tensor([qo.shift_up().add(qo.constant(1e-5))])
+    rep = growth.verify_witnesses([(op, 0, 1)], ("N",), Q, 1)
+    assert not rep["ok"]
+    assert rep["failures"] == [{"exponents": (1,), "index": (1,),
+                                "support": [(0,), (1,)]}]
+
+
 @pytest.mark.parametrize("word,n", [((1,), 2), ((2,), 2), ((1, 2), 2),
                                     ((2, 1, 2), 2), ((1, 2, 1, 2), 2),
                                     ((1, 2, 3, 2, 1), 3)])
@@ -219,6 +228,18 @@ def test_module_certificate_sandwich(word):
     assert cert.ok
     for row in cert.rows:
         assert row["lower"] <= row["d"] <= row["upper"]
+
+
+def test_certificates_need_a_growth_step():
+    # the series run at r_max = 0; a certificate needs a row past r = 0
+    spec = RepSpec(2, (1, 2))
+    w = weylb.longest_quotient_element(1, weylb.ParabolicSubset.homogeneous(1, 1))
+    assert growth.module_growth(spec, 0, Q).values == [(0, 1)]
+    assert growth.algebra_growth(1, 1, w, 0, Q).values == [(0, 1)]
+    with pytest.raises(ValueError, match="needs r_max >= 1, got 0"):
+        growth.module_certificate(spec, 0, Q)
+    with pytest.raises(ValueError, match="needs r_max >= 1, got 0"):
+        growth.homogeneous_certificate(1, 1, 0, Q)
 
 
 def test_module_certificate_rejects_nonreduced():

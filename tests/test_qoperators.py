@@ -204,6 +204,25 @@ def test_factor_merges_are_exact():
     assert [c.const for _, c in small.terms] == [1, 1e-14]
 
 
+def test_summand_merges_are_exact():
+    # a merged summand goes only when its scalar is exactly zero, however
+    # small it is next to the others
+    a = qo.elementary_tensor([qo.shift_up()])
+    b = qo.elementary_tensor([qo.shift_down()])
+    assert qo.add(a, qo.scale(-1, a)).is_zero()
+    merged = qo.add(a, qo.scale(-(1 - 2 ** -45), a), b)
+    assert [s for s, fs in merged.summands if fs == a.summands[0][1]] == \
+        [2 ** -45]
+
+
+def test_apply_operator_lists_entries_in_index_order():
+    # two targets per entry, entries inserted against index order
+    op = qo.elementary_tensor([qo.identity_shift().add(qo.shift_up())])
+    vec = qo.SparseVector(("N",), {(2,): 1 + 0j, (0,): 1 + 0j})
+    assert list(qo.apply_operator(op, vec, Q).entries) == \
+        [(0,), (1,), (2,), (3,)]
+
+
 def test_signature_free_windows():
     # an operator on no slots is a scalar on a one-point window
     two, half = qo.scalar_operator((), 2.0), qo.scalar_operator((), 0.5j)

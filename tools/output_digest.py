@@ -54,6 +54,12 @@ EDGE_JOBS = (
                       "--rmax", "6", "--csv", "{csv}")),
     ("module:2:budget", ("gkdim", "module", "--n", "2", "--word", "1,2",
                          "--rmax", "6", "--basis-cap", "5")),
+    ("module:2:rmax0", ("gkdim", "module", "--n", "2", "--word", "1,2",
+                        "--rmax", "0")),
+    ("module:1:probe", ("gkdim", "module", "--n", "1", "--word", "1",
+                        "--rmax", "2", "--probe", "1")),
+    ("homogeneous:1:1:rmax0", ("gkdim", "homogeneous", "--n", "1", "--m", "1",
+                               "--rmax", "0")),
     ("homogeneous:2:1", ("gkdim", "homogeneous", "--n", "2", "--m", "1",
                          "--rmax", "2", "--probe", "2")),
     ("homogeneous:1:1:r5", ("gkdim", "homogeneous", "--n", "1", "--m", "1",
