@@ -5,8 +5,10 @@ verification, diagram rendering and path queries, and the growth
 certificates.  All machine output is JSON with a top-level schema tag;
 growth series can additionally be written as CSV.
 
-Exit codes: 0 success, 2 usage error, 3 budget exceeded / partial result,
-4 certificate failure.
+Exit codes: 0 success, 1 stdout closed by its reader (a broken pipe, as
+in `bqdim ... | head`; the run stops without a traceback), 2 usage error or
+a floating-point overflow (q^b past the float range at tiny q), 3 budget
+exceeded / partial result, 4 certificate failure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from dataclasses import dataclass
@@ -330,10 +333,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:          # includes UsageError
+        code = args.func(args)
+        # a closed pipe shows up at the latest here, inside the try
+        sys.stdout.flush()
+        return code
+    except (ValueError, OverflowError) as exc:  # includes UsageError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull
+        # (the signal module docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ by sparse Gaussian elimination with a canonical pivot order.  Module growth
 runs it on vectors, from the vacuum, through a kernel compiled once per run
 at fixed q: basis indices are flat integers, every coefficient is evaluated
 once, and a block of frontier vectors is expanded by gather and
-scatter-add, with the rounding, the drops and the index order of
-apply_operator.  Algebra growth runs it on operator words kept in closed
+scatter-add, with the rounding, the index order and the exact-zero drop
+of apply_operator; Echelon's REL_TOL is the one place that judges float
+noise.  Algebra growth runs it on operator words kept in closed
 symbolic form; their rank is exact because each word expands over
 structurally independent monomials.  It runs once more on the action of
 the words on the probe vectors, on the same kernel: circle slots take
@@ -179,8 +180,8 @@ class ModuleKernel:
     reach 0.  expand applies every generator to a block of elements at once
     by gather, shift and scatter-add over the compiled table.  Each stacked
     image equals apply_operator's images of the stacked vectors: the same
-    entries in index order, rounded the same way, with the same entries
-    dropped.
+    nonzero entries in index order, rounded the same way; only exact zeros
+    are dropped.
     """
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
@@ -302,16 +303,10 @@ class ModuleKernel:
                               return_inverse=True)
         sums = np.bincount(inv, weights=re, minlength=len(uniq)) + 0j
         sums.imag = np.bincount(inv, weights=im, minlength=len(uniq))
-        # SparseVector.cleaned per image: drop relative to the max of one
-        # probe's image under one generator
+        # only exact zeros go, as in apply_operator
+        keep = sums != 0
+        uniq, sums = uniq[keep], sums[keep]
         image = uniq // self.size
-        mag = np.hypot(sums.real, sums.imag)
-        if len(mag):
-            starts = np.flatnonzero(np.r_[True, image[1:] != image[:-1]])
-            scale = np.maximum.reduceat(mag, starts)
-            keep = mag > qo.DROP_TOL * np.repeat(
-                scale, np.diff(np.r_[starts, len(mag)]))
-            uniq, image, sums = uniq[keep], image[keep], sums[keep]
         bounds = np.searchsorted(
             image, np.arange(len(block) * self.n_gens + 1) * self.probes)
         for cand, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):

@@ -15,7 +15,9 @@ zero before any negativity check, which is what keeps compositions of the
 boundary-vanishing shifts exact.
 
 apply_operator applies an operator symbolically, term by term, and lists
-the image's entries in index order.  Every evaluation at fixed q goes
+every nonzero entry of the image in index order: only exact zeros go, so
+an amplitude many decades below the image's largest stays (float noise is
+judged once, by growth.Echelon).  Every evaluation at fixed q goes
 through compile_table instead: it expands operators into term
 combinations and evaluates each distinct coefficient once over an index
 range.  The module growth kernel and the window evaluation behind the
@@ -50,8 +52,6 @@ import numpy as np
 
 UNILATERAL = "N"
 BILATERAL = "Z"
-
-DROP_TOL = 1e-12
 
 
 class QDomainError(ValueError):
@@ -462,18 +462,6 @@ class SparseVector:
     signature: tuple[str, ...]
     entries: dict[tuple[int, ...], complex] = field(default_factory=dict)
 
-    def norm_inf(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
-
-    def cleaned(self) -> "SparseVector":
-        # purely relative to the vector's own scale: witness products have
-        # geometrically small but genuinely nonzero amplitudes
-        scale_ = self.norm_inf()
-        if scale_ == 0:
-            return SparseVector(self.signature, {})
-        kept = {k: v for k, v in self.entries.items() if abs(v) > DROP_TOL * scale_}
-        return SparseVector(self.signature, kept)
-
 
 def vacuum(signature: Iterable[str]) -> SparseVector:
     sig = tuple(signature)
@@ -511,7 +499,8 @@ def apply_operator(op: TensorOperator, vec: SparseVector, q: float) -> SparseVec
                 partial = [(t + (j,), a * c) for t, a in partial for j, c in imgs]
             for t, a in partial:
                 out[t] = out.get(t, 0j) + a
-    return SparseVector(vec.signature, dict(sorted(out.items()))).cleaned()
+    return SparseVector(vec.signature,
+                        {k: v for k, v in sorted(out.items()) if v != 0})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from bqdim import cli
+
+
+# the message of float pow's OverflowError, in the platform's words
+ERANGE = str(OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)))
 
 
 def run_cli(argv, capsys):
@@ -109,12 +114,40 @@ def test_rep_verify_bad_torus(capsys):
     (["gkdim", "module", "--rmax", "0"], "a certificate needs r_max >= 1, got 0"),
     (["gkdim", "homogeneous", "--rmax", "0"],
      "a certificate needs r_max >= 1, got 0"),
+    # q^b overflows a float at tiny q
+    (["rep", "verify", "--q", "1e-200"], ERANGE),
+    (["gkdim", "homogeneous", "--rmax", "2", "--q", "1e-200"], ERANGE),
 ])
 def test_run_parameters_are_refused(argv, message, capsys):
     instance = ["--m", "1"] if argv[1] == "homogeneous" else ["--word", "1"]
     code, out, err = run_cli(argv[:2] + ["--n", "1"] + instance + argv[2:],
                              capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_closed_stdout_stops_quietly(monkeypatch, tmp_path, capsys):
+    """A reader that closes the pipe early (`bqdim ... | head`) ends the
+    run with exit 1 and no traceback; stdout then points at the null
+    device, so the flush at interpreter exit cannot fail again."""
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = cli.main(["weyl", "dims", "--n", "2", "--m", "2"])
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_module_mode_takes_no_probe(capsys):

@@ -519,6 +519,18 @@ def test_growth_series_structural_in_q(q):
     assert a.dims() == [1, 10, 35]
 
 
+@pytest.mark.parametrize("n,word,q,dims", [
+    (2, (1, 2, 1), 0.2, [1, 5, 14, 30, 55, 91, 140]),
+    (3, (1, 2, 3, 2, 1), 0.1, [1, 7, 27, 77, 182]),
+    (2, (1, 2, 1, 2), 0.15, [1, 9, 38, 110, 255, 511, 924]),
+])
+def test_module_series_at_small_q(n, word, q, dims):
+    """At small q the series is still the q = 1/2 one: amplitudes many
+    decades below an image's largest entry are rank, not noise."""
+    assert growth.module_growth(RepSpec(n, word), len(dims) - 1, q).dims() \
+        == dims
+
+
 def test_container_bound_degrees():
     w = weylb.from_word((1,), 1)
     assert growth.algebra_container_bound(1, 1, w, 2) == 125  # (2r+1)^3

@@ -2,7 +2,8 @@
 
 growth.ModuleKernel expands a frontier by gather and scatter-add over
 qoperators.compile_table; qoperators.apply_operator is the oracle, entry
-by entry, including the entries SparseVector.cleaned drops.  The module
+by entry, including amplitudes many decades below an image's largest,
+which both keep (only exact zeros go).  The module
 series runs it on single vectors over N slots, the homogeneous probe series
 on stacks of probe images over Z (circle) and N slots.
 """
@@ -48,8 +49,8 @@ def kernels():
 def _vectors(kernel):
     """Frontiers of sparse vectors whose images stay in the window.
 
-    Amplitudes span 20 decades, so the relative drop of
-    SparseVector.cleaned removes entries in many images."""
+    Amplitudes span 20 decades, so many images hold entries far below
+    their largest, which both sides must keep."""
     index = st.tuples(*(st.integers(0, d * (R_MAX - 1))
                         for d in kernel.shift_bounds))
     amp = st.builds(lambda e, phase: 10.0 ** -e * cmath.exp(1j * phase),
@@ -112,8 +113,8 @@ def _stacks(kernel):
     indices on the Z slots.
 
     Each vector of a stack has its own scale, 0, 10 or 20 decades down, on
-    top of entries spread over 13 decades, so a drop taken relative to the
-    whole stack instead of each probe's image removes entries."""
+    top of entries spread over 13 decades, so a probe's image may sit far
+    below the rest of its stack and still keep every entry."""
     index = st.tuples(*(st.integers(lo + d if z else 0, lo + b - 1 - d)
                         for lo, b, d, z in zip(kernel.lows, kernel.radices,
                                                kernel.shift_bounds,

@@ -50,6 +50,11 @@ EDGE_JOBS = (
                         "--rmax", "5")),
     ("module:3:w0", ("gkdim", "module", "--n", "3",
                      "--word", "3,2,3,2,1,2,3,2,1", "--rmax", "4")),
+    ("module:2:121:small-q", ("gkdim", "module", "--n", "2", "--word", "1,2,1",
+                              "--rmax", "6", "--q", "0.2")),
+    ("module:3:12321:small-q", ("gkdim", "module", "--n", "3",
+                                "--word", "1,2,3,2,1", "--rmax", "4",
+                                "--q", "0.1")),
     ("module:2:csv", ("gkdim", "module", "--n", "2", "--word", "1",
                       "--rmax", "6", "--csv", "{csv}")),
     ("module:2:budget", ("gkdim", "module", "--n", "2", "--word", "1,2",
