@@ -6,9 +6,10 @@ certificates.  All machine output is JSON with a top-level schema tag;
 growth series can additionally be written as CSV.
 
 Exit codes: 0 success, 1 stdout closed by its reader (a broken pipe, as
-in `bqdim ... | head`; the run stops without a traceback), 2 usage error or
-a floating-point overflow (q^b past the float range at tiny q), 3 budget
-exceeded / partial result, 4 certificate failure.
+in `bqdim ... | head`; the run stops without a traceback), 2 usage error
+(an unwritable --csv path included) or a floating-point overflow (q^b past
+the float range at tiny q), 3 budget exceeded / partial result, 4
+certificate failure.
 """
 
 from __future__ import annotations
@@ -237,8 +238,12 @@ def cmd_gkdim(args) -> int:
                "estimate": cert.estimate, "ok": cert.ok,
                "flags": series.flags}
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write(_series_csv(cert.rows))
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                fh.write(_series_csv(cert.rows))
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.csv}: {exc.strerror}") \
+                from None
     _emit(payload)
     if not cert.ok:
         return 4

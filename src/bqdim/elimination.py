@@ -1,0 +1,342 @@
+"""Elimination of the growth kernel's images by torus-weight class.
+
+WeightEchelon performs growth.Echelon.add's float operations on the
+kernel's batches of images, a chunk of them at a time in numpy, so both
+accept the same candidates and store the same rows.  Echelon reduces one
+dict at a time and serves the symbolic series; it is the reference of
+WeightEchelon's law test.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .growth import Echelon
+
+
+def _annihilator(vectors: list[tuple[int, ...]], dim: int) -> np.ndarray:
+    """Integer rows spanning the vectors orthogonal to all of vectors, by
+    fraction-free Gauss-Jordan elimination."""
+    rows = [list(v) for v in vectors if any(v)]
+    pivots = []
+    for col in range(dim):
+        r = len(pivots)
+        top = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if top is None:
+            continue
+        rows[r], rows[top] = rows[top], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                row = [top[col] * x - row[col] * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g else row
+        pivots.append(col)
+    basis = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        scale = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
+        y = [0] * dim
+        y[free] = scale
+        for row, col in zip(rows, pivots):
+            y[col] = -(scale // row[col]) * row[free]
+        basis.append(y)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), dim)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + n) over starts and lengths."""
+    ends = np.cumsum(lengths)
+    total = ends[-1] if len(ends) else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
+def _groups(sizes: np.ndarray, limit: int):
+    """Yield (start, stop) of consecutive runs of sizes that sum to at most
+    limit, or hold one item."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < len(ends):
+        j = max(i + 1, int(np.searchsorted(
+            ends, (ends[i - 1] if i else 0) + limit, "right")))
+        yield i, j
+        i = j
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """a, or a zero-padded copy at least twice as long, holding size."""
+    if size <= len(a):
+        return a
+    out = np.zeros(max(size, 2 * len(a)), dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+# candidate cells (images times their class width) per elimination sweep:
+# bounds the dense rows while keeping the per-column overhead small
+_CHUNK_CELLS = 1 << 14
+
+
+class WeightEchelon:
+    """Echelon.add over a kernel's batches, a chunk of images at a time.
+
+    The summands of a generator shift an index by vectors that differ by a
+    lattice L.  With the differences within each probe's start support
+    added to L, and P an integer basis of its annihilator, every stacked
+    image of a word lies in one weight class P (k - s_i), s_i a support
+    point of probe i.  A pivot row lies in the class of the image that made
+    it, so classes never meet.  Keys get an id on first sight; the layout
+    lists each class's known keys in descending order, the order in which
+    Echelon pops them, and grows with each chunk.
+
+    A chunk is swept in dense rows over the columns of their classes, all
+    rows at one column at a time.  A row whose entry there is at or below
+    its floor (REL_TOL times its largest initial |entry|) drops it.
+    Otherwise the first such row of a class without a pivot there becomes
+    the pivot, normalised as Python divides complex numbers, and stops;
+    every other such row subtracts amp times the pivot row, multiplied as
+    Python multiplies complex numbers.  Within each class these are
+    Echelon.add's float operations in Echelon.add's order, so the accepted
+    images and the stored rows are Echelon's.
+    """
+
+    def __init__(self, kernel, start):
+        self.kernel = kernel
+        probe, index = kernel.indices(start[0])
+        # any support point of a probe will do as its base: the
+        # differences within the support join L
+        self._base = np.zeros((kernel.probes, len(kernel.radices)),
+                              dtype=np.int64)
+        self._base[probe] = index
+        # the table lists each generator's combinations together
+        t = kernel.table
+        lead = np.searchsorted(t.operator, t.operator)
+        lattice = np.concatenate([t.shift - t.shift[lead],
+                                  index - self._base[probe]])
+        self._projection = _annihilator(
+            sorted(set(map(tuple, lattice.tolist()))), len(kernel.radices))
+        self.rank = 0
+        # class numbers by weight, in order of first sight; per key id: the
+        # key, its class and its pivot row, -1 for none
+        self._classes = {}
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._class = np.zeros(0, dtype=np.int32)
+        self._pivot = np.zeros(0, dtype=np.int64)
+        self._layout()
+        # pivot rows over key ids, grown in amortised segments; the first
+        # entry of a row is its pivot
+        self._row_start = np.zeros(64, dtype=np.int64)
+        self._row_len = np.zeros(64, dtype=np.int64)
+        self._col = np.zeros(1024, dtype=np.int32)
+        self._re = np.zeros(1024)
+        self._im = np.zeros(1024)
+        self._used = 0
+
+    def __len__(self) -> int:
+        return self.rank
+
+    def independent(self, batches):
+        """Reduce the images of the batches in order against the span and
+        yield, in order, the ones that join it."""
+        chunk, cells = [], 0
+        for batch in batches:
+            chunk.append(batch)
+            cells += self._cells(batch)
+            if cells >= _CHUNK_CELLS:
+                yield from self._reduce(chunk)
+                chunk, cells = [], 0
+        if chunk:
+            yield from self._reduce(chunk)
+
+    def _cells(self, batch) -> int:
+        """The sweep cells of a batch's images, as far as the layout knows
+        their classes, and at least their entries."""
+        bounds, keys, _ = batch
+        lead = keys[bounds[:-1][bounds[:-1] < bounds[1:]]]
+        at, seen = self._find(lead)
+        width = self._class_width[self._class[self._lookup[at[seen]]]]
+        return max(len(keys), int(width.sum()))
+
+    def _classify(self, keys: np.ndarray) -> np.ndarray:
+        """The class of each key, by its weight P (k - s_i)."""
+        probe, index = self.kernel.indices(keys)
+        weight = (index - self._base[probe]) @ self._projection.T
+        return np.array([self._classes.setdefault(w, len(self._classes))
+                         for w in map(tuple, weight.tolist())],
+                        dtype=np.int32)
+
+    def _layout(self):
+        """The column of every known key: its rank in its class, in
+        descending key order; classes lie in class order."""
+        n = len(self._keys)
+        self._ids = np.lexsort((-self._keys, self._class))
+        self._class_width = np.bincount(self._class,
+                                        minlength=len(self._classes))
+        self._class_start = np.cumsum(self._class_width) - self._class_width
+        self._column = np.empty(n, dtype=np.int32)
+        self._column[self._ids] = (np.arange(n)
+                                   - self._class_start[self._class[self._ids]])
+        self._lookup = np.argsort(self._keys).astype(np.int32)
+        self._sorted = self._keys[self._lookup]
+
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where keys sort among the known keys, and which are known."""
+        at = np.searchsorted(self._sorted, keys)
+        seen = at < len(self._sorted)
+        seen[seen] = self._sorted[at[seen]] == keys[seen]
+        return at, seen
+
+    def _identify(self, keys: np.ndarray) -> np.ndarray:
+        """The ids of keys; unseen keys get new ids and the layout grows."""
+        at, seen = self._find(keys)
+        if not seen.all():
+            fresh = np.unique(keys[~seen], return_inverse=True)[0]
+            self._keys = np.concatenate([self._keys, fresh])
+            self._class = np.concatenate([self._class, self._classify(fresh)])
+            self._pivot = np.concatenate(
+                [self._pivot, np.full(len(fresh), -1, dtype=np.int64)])
+            self._layout()
+            at = np.searchsorted(self._sorted, keys)
+        return self._lookup[at]
+
+    def _reduce(self, chunk):
+        """Reduce the images of a chunk of batches, a sweep at a time, and
+        yield the ones that join the span."""
+        ids = self._identify(np.concatenate([k for _, k, _ in chunk]))
+        amps = np.concatenate([a for _, _, a in chunk])
+        offsets = np.cumsum([0] + [len(k) for _, k, _ in chunk])
+        bounds = np.concatenate(
+            [[0]] + [b[1:] + o for (b, _, _), o in zip(chunk, offsets)])
+        chunk.clear()
+        lengths = np.diff(bounds)
+        # an empty image is dependent
+        rows = np.flatnonzero(lengths)
+        if not len(rows):
+            return
+        cls = self._class[ids[bounds[rows]]]
+        if (self._class[ids] != np.repeat(cls, lengths[rows])).any():
+            raise AssertionError("an image spans two weight classes")
+        floor = Echelon.REL_TOL * np.maximum.reduceat(
+            np.hypot(amps.real, amps.imag), bounds[rows])
+        for i, j in _groups(self._class_width[cls], _CHUNK_CELLS):
+            sweep = rows[i:j]
+            a, b = bounds[sweep[0]], bounds[sweep[-1] + 1]
+            accepted = self._sweep(cls[i:j], floor[i:j], lengths[sweep],
+                                   ids[a:b], amps[a:b])
+            for c in sweep[accepted]:
+                a, b = bounds[c], bounds[c + 1]
+                yield self._keys[ids[a:b]], amps[a:b].copy()
+
+    def _sweep(self, cls, floor, lengths, ids, amps) -> np.ndarray:
+        """Which rows join the span, the rows in candidate order."""
+        width = self._class_width[cls]
+        # widest first, so the rows still inside their class at column t
+        # are a prefix; the rows of a class together, in candidate order
+        order = np.lexsort((cls, -width))
+        width, cls, floor = width[order], cls[order], floor[order]
+        lead = self._class_start[cls]
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        # cells column by column: column t holds the first inside[t] rows
+        inside = np.searchsorted(-width, -np.arange(width[0] + 1))
+        at = np.cumsum(inside) - inside
+        re, im = np.zeros(at[-1]), np.zeros(at[-1])
+        column = self._column[ids]
+        cell = at[column] + np.repeat(where, lengths)
+        re[cell], im[cell] = amps.real, amps.imag
+        # columns where some row may hold an entry, and a stop past the end
+        touched = np.zeros(width[0] + 1, dtype=bool)
+        touched[column] = touched[-1] = True
+        del column, cell        # not kept through the column loop
+        done = np.zeros(len(order), dtype=bool)
+        starts, ends = at.tolist(), (at + inside).tolist()
+        t = int(touched.argmax())
+        while t < width[0]:
+            a, b = starts[t], ends[t]
+            a_re, a_im = re[a:b], im[a:b]
+            hit = np.flatnonzero(np.hypot(a_re, a_im) > floor[:b - a])
+            if len(hit):
+                key = self._ids[lead[hit] + t]
+                pivot = self._pivot[key]
+                fresh = np.flatnonzero(pivot < 0)
+                if len(fresh):
+                    # the first row of each class without a pivot here
+                    fresh = fresh[np.flatnonzero(
+                        np.diff(cls[hit[fresh]], prepend=-1))]
+                    made = hit[fresh]
+                    self._pivot[key[fresh]] = self._store(
+                        re, im, at, made, t, width[made] - t, lead[made])
+                    floor[made] = np.inf
+                    done[made] = True
+                    pivot = self._pivot[key]
+                    rest = np.ones(len(hit), dtype=bool)
+                    rest[fresh] = False
+                    hit, pivot = hit[rest], pivot[rest]
+                self._subtract(re, im, at, touched, hit, a_re[hit], a_im[hit],
+                               pivot)
+            t += 1 + int(touched[t + 1:].argmax())
+        return done[where]
+
+    def _store(self, re, im, at, rows, t, length, lead) -> np.ndarray:
+        """Store the rows from column t on, divided by their entry there,
+        as new pivot rows; return their numbers.  Cell (row, column) is
+        at[column] + row, and a row's class starts at lead in the layout."""
+        owner = np.repeat(np.arange(len(rows)), length)
+        column = _ranges(np.full(len(rows), t), length)
+        cell = at[column] + rows[owner]
+        v_re, v_im = re[cell], im[cell]
+        nonzero = (v_re != 0) | (v_im != 0)
+        owner, column = owner[nonzero], column[nonzero]
+        v_re, v_im = v_re[nonzero], v_im[nonzero]
+        # Python's complex division: Smith's method, as CPython writes it
+        b_re, b_im = re[at[t] + rows], im[at[t] + rows]
+        by_re = np.abs(b_re) >= np.abs(b_im)
+        ratio = np.where(by_re, b_im, b_re) / np.where(by_re, b_re, b_im)
+        denom = np.where(by_re, b_re + b_im * ratio, b_re * ratio + b_im)
+        by_re, ratio, denom = by_re[owner], ratio[owner], denom[owner]
+        n_re = np.where(by_re, v_re + v_im * ratio, v_re * ratio + v_im) / denom
+        n_im = np.where(by_re, v_im - v_re * ratio, v_im * ratio - v_re) / denom
+        used = self._used + len(owner)
+        self._col, self._re, self._im = (_grown(a, used) for a in
+                                         (self._col, self._re, self._im))
+        self._col[self._used:used] = self._ids[lead[owner] + column]
+        self._re[self._used:used] = n_re
+        self._im[self._used:used] = n_im
+        counts = np.bincount(owner, minlength=len(rows))
+        numbers = np.arange(self.rank, self.rank + len(rows))
+        self._row_start, self._row_len = (_grown(a, self.rank + len(rows))
+                                          for a in (self._row_start,
+                                                    self._row_len))
+        self._row_start[numbers] = self._used + np.cumsum(counts) - counts
+        self._row_len[numbers] = counts
+        self._used = used
+        self.rank += len(rows)
+        return numbers
+
+    def _subtract(self, re, im, at, touched, rows, a_re, a_im, pivot):
+        """Subtract amp times the pivot row, past its pivot, from each row,
+        products rounded as Python's complex product rounds them, and mark
+        the columns written as touched."""
+        if not len(rows):
+            return
+        length = self._row_len[pivot] - 1
+        ends = np.cumsum(length)
+        if len(rows) > 1 and ends[-1] > _CHUNK_CELLS // 8:
+            # half the rows at a time bound the temporaries
+            half = len(rows) // 2
+            for part in slice(half), slice(half, None):
+                self._subtract(re, im, at, touched, rows[part], a_re[part],
+                               a_im[part], pivot[part])
+            return
+        entry = np.repeat(self._row_start[pivot] + 1 - ends + length,
+                          length) + np.arange(ends[-1])
+        column = self._column[self._col[entry]]
+        touched[column] = True
+        cell = at[column] + np.repeat(rows, length)
+        a_re, a_im = np.repeat(a_re, length), np.repeat(a_im, length)
+        v_re, v_im = self._re[entry], self._im[entry]
+        re[cell] -= a_re * v_re - a_im * v_im
+        im[cell] -= a_re * v_im + a_im * v_re

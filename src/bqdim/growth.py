@@ -2,19 +2,22 @@
 
 One span engine computes every series.  It iterates a frontier: every
 generator acts on the newest basis elements of the span of words applied
-to a start element, and the fingerprints of the results are rank-reduced
-by sparse Gaussian elimination with a canonical pivot order.  Module growth
-runs it on vectors, from the vacuum, through a kernel compiled once per run
-at fixed q: basis indices are flat integers, every coefficient is evaluated
-once, and a block of frontier vectors is expanded by gather and
-scatter-add, with the rounding, the index order and the exact-zero drop
-of apply_operator; Echelon's REL_TOL is the one place that judges float
-noise.  Algebra growth runs it on operator words kept in closed
-symbolic form; their rank is exact because each word expands over
-structurally independent monomials.  It runs once more on the action of
-the words on the probe vectors, on the same kernel: circle slots take
-negative indices, and one frontier element stacks a word's images of all
-probes.  That rank is recorded alongside as a lower-bound cross-check.
+to a start element, and the results are rank-reduced by sparse Gaussian
+elimination with a canonical pivot order.  Module growth runs it on
+vectors, from the vacuum, through a kernel compiled once per run at fixed
+q: basis indices are flat integers, every coefficient is evaluated once,
+and a block of frontier vectors is expanded by gather and scatter-add,
+with the rounding, the index order and the exact-zero drop of
+apply_operator.  elimination.WeightEchelon reduces the kernel's images a
+chunk at a time, split by torus-weight class, with exactly Echelon's float
+operations; Echelon's REL_TOL is the one place that judges float noise.
+Algebra growth runs it on operator words kept in closed symbolic form,
+reduced by Echelon on their monomial fingerprints; their rank is exact
+because each word expands over structurally independent monomials.  It
+runs once more on the action of the words on the probe vectors, on the
+same kernel and eliminator: circle slots take negative indices, and one
+frontier element stacks a word's images of all probes.  That rank is
+recorded alongside as a lower-bound cross-check.
 
 Lower bounds are certified by explicit witness words.  A witness system is
 a list of letters (operator, slot, step) that raise or lower one tensor
@@ -113,34 +116,47 @@ class GrowthSeries:
         return [d for _, d in self.values]
 
 
-def _span_series(start, expand, fingerprint, r_max: int, basis_cap: int,
+def _span_series(first, expand, independent, r_max: int, basis_cap: int,
                  context: dict) -> GrowthSeries:
-    """Rank series of the span of words of length <= r applied to start.
+    """Rank series of the span of words of length <= r applied to a start.
 
-    expand(frontier) yields the image of every frontier element under every
-    generator, in (element, generator) order; a result whose fingerprint is
-    nonzero and independent of the span so far joins the next frontier.
-    Past basis_cap the series up to the previous step rides on the
-    BudgetExceeded error.
+    first is a batch holding the start alone.  expand(frontier) yields, in
+    batches, the image of every frontier element under every generator, in
+    (element, generator) order; independent(batches) reduces their
+    candidates in that order against the span so far and yields the ones
+    that join it, in order: the next frontier.  Past basis_cap the series up
+    to the previous step rides on the BudgetExceeded error.
     """
-    ech = Echelon()
-    ech.add(fingerprint(start))
-    frontier = [start]
-    values = [(0, len(ech))]
+    frontier = list(independent([first]))
+    rank = len(frontier)
+    values = [(0, rank)]
     for r in range(1, r_max + 1):
         new_frontier = []
-        for out in expand(frontier):
-            fp = fingerprint(out)
-            if fp and ech.add(fp) is not None:
-                new_frontier.append(out)
-                if len(ech) > basis_cap:
-                    raise BudgetExceeded(
-                        f"basis size exceeded {basis_cap} at step {r}",
-                        GrowthSeries(context, values,
-                                     [f"budget exceeded at step {r}"]))
+        for out in independent(expand(frontier)):
+            new_frontier.append(out)
+            if rank + len(new_frontier) > basis_cap:
+                raise BudgetExceeded(
+                    f"basis size exceeded {basis_cap} at step {r}",
+                    GrowthSeries(context, values,
+                                 [f"budget exceeded at step {r}"]))
         frontier = new_frontier
-        values.append((r, len(ech)))
+        rank += len(frontier)
+        values.append((r, rank))
     return GrowthSeries(context, values)
+
+
+def _independent_fingerprints(fingerprint):
+    """An independent() for _span_series: Echelon.add on each candidate's
+    fingerprint, the batches being lists of candidates."""
+    ech = Echelon()
+
+    def independent(batches):
+        for batch in batches:
+            for x in batch:
+                fp = fingerprint(x)
+                if fp and ech.add(fp) is not None:
+                    yield x
+    return independent
 
 
 def module_generators(table: GeneratorImageTable) -> list[TensorOperator]:
@@ -177,11 +193,13 @@ class ModuleKernel:
     it does on tuples.  A frontier element is a pair (keys, amplitudes) of
     arrays holding a stack of `probes` vectors, probe i offset by i times
     the window size; a module series stacks one vector, the vacuum, with
-    reach 0.  expand applies every generator to a block of elements at once
-    by gather, shift and scatter-add over the compiled table.  Each stacked
-    image equals apply_operator's images of the stacked vectors: the same
-    nonzero entries in index order, rounded the same way; only exact zeros
-    are dropped.
+    reach 0.  batches applies every generator to a block of elements at once
+    by gather, shift and scatter-add over the compiled table and returns the
+    block's images as one batch (bounds, keys, amplitudes), image i being
+    keys[bounds[i]:bounds[i+1]]; WeightEchelon reduces them batch by batch,
+    and expand is the per-image view.  Each stacked image equals
+    apply_operator's images of the stacked vectors: the same nonzero entries
+    in index order, rounded the same way; only exact zeros are dropped.
     """
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
@@ -235,30 +253,43 @@ class ModuleKernel:
                 amps.append(amp)
         return np.array(keys, dtype=np.int64), np.array(amps, dtype=complex)
 
-    @staticmethod
-    def fingerprint(x: tuple[np.ndarray, np.ndarray]) -> dict:
-        return dict(zip(x[0].tolist(), x[1].tolist()))
+    def _digits(self, keys: np.ndarray) -> list[np.ndarray]:
+        return [keys // stride % radix
+                for stride, radix in zip(self.strides, self.radices)]
 
-    def expand(self, frontier):
-        """Yield (keys, amplitudes) of every generator applied to every
-        frontier element, in (element, generator) order."""
+    def indices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The probe and the basis index (one row each) of stacked keys."""
+        digits = np.array(self._digits(keys), dtype=np.int64)
+        return (keys // self.size,
+                digits.reshape(len(self.radices), len(keys)).T
+                + np.array(self.lows, dtype=np.int64))
+
+    def batches(self, frontier):
+        """Yield the images of every frontier element under every
+        generator, in (element, generator) order, one batch per block."""
         block, entries = [], 0
         for x in frontier:
             if block and entries + len(x[0]) > self._block_entries:
-                yield from self._expand_block(block)
+                yield self._expand_block(block)
                 block, entries = [], 0
             block.append(x)
             entries += len(x[0])
         if block:
-            yield from self._expand_block(block)
+            yield self._expand_block(block)
+
+    def expand(self, frontier):
+        """Yield (keys, amplitudes) of every generator applied to every
+        frontier element, in (element, generator) order."""
+        for bounds, keys, amps in self.batches(frontier):
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                yield keys[a:b], amps[a:b]
 
     def _expand_block(self, block):
         t = self.table
         keys = np.concatenate([k for k, _ in block])
         amps = np.concatenate([a for _, a in block])
         owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
-        digits = [keys // stride % radix
-                  for stride, radix in zip(self.strides, self.radices)]
+        digits = self._digits(keys)
         for k, radix, d, z in zip(digits, self.radices, self.shift_bounds,
                                   self.circle):
             if (k >= radix - d).any() or (z and (k < d).any()):
@@ -306,11 +337,9 @@ class ModuleKernel:
         # only exact zeros go, as in apply_operator
         keep = sums != 0
         uniq, sums = uniq[keep], sums[keep]
-        image = uniq // self.size
         bounds = np.searchsorted(
-            image, np.arange(len(block) * self.n_gens + 1) * self.probes)
-        for cand, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            yield uniq[a:b] - cand * stack, sums[a:b].copy()
+            uniq, np.arange(len(block) * self.n_gens + 1) * stack)
+        return bounds, uniq % stack, sums
 
 
 def _module_kernel(spec: RepSpec, r_max: int, q: float) -> ModuleKernel:
@@ -319,12 +348,22 @@ def _module_kernel(spec: RepSpec, r_max: int, q: float) -> ModuleKernel:
     return ModuleKernel(module_generators(repsoq.rep_table(spec)), q, r_max)
 
 
+def _kernel_span_series(kernel: ModuleKernel, start, r_max: int,
+                        basis_cap: int, context: dict) -> GrowthSeries:
+    """_span_series of the frontier element start on the kernel."""
+    # imported on first use: runs without a kernel series never compile it
+    from .elimination import WeightEchelon
+    keys, amps = start
+    return _span_series((np.array([0, len(keys)]), keys, amps),
+                        kernel.batches, WeightEchelon(kernel, start).independent,
+                        r_max, basis_cap, context)
+
+
 def _kernel_series(kernel: ModuleKernel, spec: RepSpec, r_max: int,
                    basis_cap: int) -> GrowthSeries:
-    return _span_series(kernel.encode(qo.vacuum(kernel.signature)),
-                        kernel.expand, kernel.fingerprint, r_max, basis_cap,
-                        {"kind": "module", "n": spec.n,
-                         "word": list(spec.word)})
+    return _kernel_span_series(
+        kernel, kernel.encode(qo.vacuum(kernel.signature)), r_max, basis_cap,
+        {"kind": "module", "n": spec.n, "word": list(spec.word)})
 
 
 def module_growth(spec: RepSpec, r_max: int, q: float,
@@ -629,8 +668,8 @@ def _probe_rank_series(gens: list[TensorOperator], q: float, r_max: int,
         p for t in range(probe_cutoff + 1) for p in _compositions(len(sig), t))]
     kernel = ModuleKernel(gens, q, r_max, reach=probe_cutoff,
                           probes=len(probes))
-    return _span_series(kernel.encode(*probes), kernel.expand,
-                        kernel.fingerprint, r_max, basis_cap, context).values
+    return _kernel_span_series(kernel, kernel.encode(*probes), r_max,
+                               basis_cap, context).values
 
 
 def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
@@ -649,9 +688,9 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
     sig = eta.signature
     context = {"kind": "homogeneous", "n": n, "m": m}
     values = _span_series(
-        qo.identity_operator(sig),
-        lambda frontier: (qo.compose(g, x) for x in frontier for g in gens),
-        lambda op: qo.monomial_decomposition(op, q),
+        [qo.identity_operator(sig)],
+        lambda frontier: ([qo.compose(g, x) for g in gens] for x in frontier),
+        _independent_fingerprints(lambda op: qo.monomial_decomposition(op, q)),
         r_max, basis_cap, context).values
     probe_values = _probe_rank_series(gens, q, r_max, probe_cutoff,
                                       basis_cap, context)

@@ -117,6 +117,9 @@ def test_rep_verify_bad_torus(capsys):
     # q^b overflows a float at tiny q
     (["rep", "verify", "--q", "1e-200"], ERANGE),
     (["gkdim", "homogeneous", "--rmax", "2", "--q", "1e-200"], ERANGE),
+    # the CSV goes out before the JSON, so a failed write leaves stdout empty
+    (["gkdim", "module", "--rmax", "1", "--csv", "."],
+     "cannot write .: Is a directory"),
 ])
 def test_run_parameters_are_refused(argv, message, capsys):
     instance = ["--m", "1"] if argv[1] == "homogeneous" else ["--word", "1"]
@@ -246,14 +249,35 @@ def test_determinism_across_threads(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_entry_point_runs():
+def _child_env():
     # the child imports bqdim from where this process found it, so the
-    # test also runs from a checkout without an install
+    # tests also run from a checkout without an install
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "bqdim.cli", "weyl", "dims",
                            "--n", "1", "--m", "1"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["group_dim"] == 3
+
+
+def test_certificates_leave_heavy_modules_unimported():
+    """numpy.ma and fractions would add to the peak memory of every run;
+    a fresh interpreter shows what the growth certificates import."""
+    child = """if True:
+        import contextlib, io, sys
+        from bqdim import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["gkdim", "module", "--n", "2", "--word", "1,2",
+                               "--rmax", "3"]),
+                     cli.main(["gkdim", "homogeneous", "--n", "1", "--m", "1",
+                               "--rmax", "2", "--probe", "1"])]
+        print(codes, sorted({"numpy.ma", "fractions"} & set(sys.modules)))
+    """
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.stdout == "[0, 0] []\n", proc.stderr
