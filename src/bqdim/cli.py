@@ -82,18 +82,9 @@ def _parse_torus(text: str | None, n: int) -> tuple[complex, ...] | None:
     return tuple(entries)
 
 
-def _emit(payload: dict, stream=None) -> None:
-    stream = stream or sys.stdout
-    json.dump(payload, stream, sort_keys=True, indent=2, default=_jsonify)
-    stream.write("\n")
-
-
-def _jsonify(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    raise TypeError(f"not JSON serialisable: {value!r}")
+def _emit(payload: dict) -> None:
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +111,7 @@ def cmd_weyl(args) -> int:
                "parabolic_part": list(w1.images), "quotient_part": list(w2.images),
                "lengths": [weylb.length(w1), weylb.length(w2)]})
     elif args.weyl_op == "longest":
-        if args.indices:
-            indices = frozenset(int(t) for t in args.indices.split(",") if t.strip())
-        else:
-            indices = frozenset()
+        indices = frozenset(int(t) for t in args.indices.split(",") if t.strip())
         R = weylb.ParabolicSubset(n, indices)
         w = weylb.longest_quotient_element(n, R)
         _emit({"schema": SCHEMA, "command": "weyl.longest", "n": n,

@@ -323,16 +323,14 @@ class WeightEchelon:
         if not len(rows):
             return
         length = self._row_len[pivot] - 1
-        ends = np.cumsum(length)
-        if len(rows) > 1 and ends[-1] > _CHUNK_CELLS // 8:
+        if len(rows) > 1 and length.sum() > _CHUNK_CELLS // 8:
             # half the rows at a time bound the temporaries
             half = len(rows) // 2
             for part in slice(half), slice(half, None):
                 self._subtract(re, im, at, touched, rows[part], a_re[part],
                                a_im[part], pivot[part])
             return
-        entry = np.repeat(self._row_start[pivot] + 1 - ends + length,
-                          length) + np.arange(ends[-1])
+        entry = _ranges(self._row_start[pivot] + 1, length)
         column = self._column[self._col[entry]]
         touched[column] = True
         cell = at[column] + np.repeat(rows, length)

@@ -196,10 +196,10 @@ class ModuleKernel:
     reach 0.  batches applies every generator to a block of elements at once
     by gather, shift and scatter-add over the compiled table and returns the
     block's images as one batch (bounds, keys, amplitudes), image i being
-    keys[bounds[i]:bounds[i+1]]; WeightEchelon reduces them batch by batch,
-    and expand is the per-image view.  Each stacked image equals
-    apply_operator's images of the stacked vectors: the same nonzero entries
-    in index order, rounded the same way; only exact zeros are dropped.
+    keys[bounds[i]:bounds[i+1]]; WeightEchelon reduces them batch by batch.
+    Each stacked image equals apply_operator's images of the stacked
+    vectors: the same nonzero entries in index order, rounded the same way;
+    only exact zeros are dropped.
     """
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
@@ -276,13 +276,6 @@ class ModuleKernel:
             entries += len(x[0])
         if block:
             yield self._expand_block(block)
-
-    def expand(self, frontier):
-        """Yield (keys, amplitudes) of every generator applied to every
-        frontier element, in (element, generator) order."""
-        for bounds, keys, amps in self.batches(frontier):
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                yield keys[a:b], amps[a:b]
 
     def _expand_block(self, block):
         t = self.table
@@ -408,8 +401,6 @@ Letter = tuple[TensorOperator, int, int]
 
 def _part_witness_columns(r: int, i: int) -> tuple[list[int], list[int]]:
     """Column indices (row 2i+1) and slot permutation for a depth-i part."""
-    if r < 1:
-        return [], []
     if r >= i:
         k = 2 * i - r
         cols = [2 * i - j + 2 if j <= k - 1 else j + 1 for j in range(1, r + 1)]
@@ -487,15 +478,28 @@ def _witness_walk(letters: list[Letter], signature: tuple[str, ...],
         previous = current
 
 
+def _lifted(vec: SparseVector) -> SparseVector:
+    """vec times the power of two that brings its largest real or imaginary
+    part up into [1, 2) when it is below 1: exact, so no support changes."""
+    top = max((max(abs(a.real), abs(a.imag)) for a in vec.entries.values()),
+              default=1.0)
+    if top >= 1.0:
+        return vec
+    scale = math.ldexp(1.0, 1 - math.frexp(top)[1])
+    return SparseVector(vec.signature,
+                        {k: a * scale for k, a in vec.entries.items()})
+
+
 def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
                      q: float, budget: int = 4) -> dict:
     """Check that every witness pattern of total <= budget lands on its
     predicted basis vector: the image's support is that one index, with no
-    other entry however small.  A failure records the image's indices."""
+    other entry however small, on images _lifted so that none underflows.
+    A failure records the image's indices."""
     report = {"patterns": 0, "failures": []}
     for exps, index, vec in _witness_walk(
             letters, signature, budget, qo.vacuum(signature),
-            lambda op, v: qo.apply_operator(op, v, q)):
+            lambda op, v: _lifted(qo.apply_operator(op, v, q))):
         report["patterns"] += 1
         if list(vec.entries) != [index]:
             report["failures"].append({"exponents": exps, "index": index,

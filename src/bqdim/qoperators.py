@@ -397,10 +397,6 @@ def identity_operator(signature: Iterable[str]) -> TensorOperator:
     return TensorOperator(sig, ((1.0 + 0j, tuple(identity_shift(s) for s in sig)),))
 
 
-def scalar_operator(signature: Iterable[str], z: complex) -> TensorOperator:
-    return scale(z, identity_operator(signature))
-
-
 def elementary_tensor(factors: Iterable[WeightedShiftSum],
                       scalar: complex = 1.0) -> TensorOperator:
     """Canonical scalar * (f_1 (x) ... (x) f_m) of arbitrary factors."""
@@ -442,10 +438,8 @@ def compose(a: TensorOperator, b: TensorOperator) -> TensorOperator:
     summands = []
     for s1, f1 in a.summands:
         for s2, f2 in b.summands:
-            factors = tuple(x.compose(y) for x, y in zip(f1, f2))
-            if any(f.is_zero() for f in factors):
-                continue
-            summands.append((s1 * s2, factors))
+            summands.append((s1 * s2, tuple(x.compose(y)
+                                            for x, y in zip(f1, f2))))
     return TensorOperator(a.signature, tuple(summands)).canonical()
 
 

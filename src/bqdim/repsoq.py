@@ -177,7 +177,7 @@ def torus_table(t: tuple[complex, ...], n: int) -> GeneratorImageTable:
     _check_unit_modulus(t)
     table = GeneratorImageTable(n, ())
     for k, c in enumerate(torus_scalars(tuple(t), n), start=1):
-        table.set(k, k, qo.scalar_operator((), c))
+        table.set(k, k, qo.scale(c, qo.identity_operator(())))
     return table
 
 

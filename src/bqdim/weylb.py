@@ -86,38 +86,18 @@ def from_word(word: Word | list[int], n: int) -> SignedPermutation:
     return w
 
 
-def positive_roots(n: int) -> list[tuple]:
-    """Positive roots of so(2n+1): e_i, e_i - e_j and e_i + e_j for i < j."""
-    roots = [("s", i) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            roots.append(("d", i, j))
-            roots.append(("p", i, j))
-    return roots
-
-
-def _image_is_positive(w: SignedPermutation, root: tuple) -> bool:
-    # Positivity test on the coordinate expansion: the nonzero coefficient
-    # with the smallest index must be positive.
-    if root[0] == "s":
-        return w.act(root[1]) > 0
-    _, i, j = root
-    a, b = w.act(i), w.act(j)
-    coeff = {abs(a): (1 if a > 0 else -1)}
-    sb = 1 if b > 0 else -1
-    if root[0] == "d":
-        sb = -sb
-    coeff[abs(b)] = coeff.get(abs(b), 0) + sb
-    for idx in sorted(coeff):
-        if coeff[idx] != 0:
-            return coeff[idx] > 0
-    raise AssertionError("root image vanished")
-
-
 def length(w: SignedPermutation) -> int:
-    """Coxeter length: the number of positive roots sent to negative ones."""
-    return sum(1 for root in positive_roots(w.n)
-               if not _image_is_positive(w, root))
+    """Coxeter length by the type-B inversion count: one for each i with
+    w(i) < 0, and for each pair i < j one more when |w(j)| < |w(i)|, two
+    more when |w(i)| < |w(j)| and w(i) < 0."""
+    count = sum(1 for a in w.images if a < 0)
+    for i, a in enumerate(w.images):
+        for b in w.images[i + 1:]:
+            if abs(b) < abs(a):
+                count += 1
+            elif a < 0:
+                count += 2
+    return count
 
 
 def longest_element(n: int) -> SignedPermutation:
@@ -149,8 +129,6 @@ class ParabolicSubset:
         {n-m+2, ..., n} for 2 <= m <= n."""
         if not 1 <= m <= n:
             raise ValueError(f"m={m} out of range 1..{n}")
-        if m == 1:
-            return ParabolicSubset(n, frozenset())
         return ParabolicSubset(n, frozenset(range(n - m + 2, n + 1)))
 
 

@@ -202,6 +202,15 @@ def test_gkdim_module(capsys, tmp_path):
     assert len(text.splitlines()) == 8
 
 
+def test_gkdim_module_witnesses_land_at_large_rmax(capsys):
+    # the witness amplitude of word 1 falls below the float range at total
+    # 48; landing judges the support alone, so the certificate holds
+    code, out, _ = run_cli(["gkdim", "module", "--n", "1", "--word", "1",
+                            "--rmax", "50"], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["ok"] and data["witness_ok"]
+
+
 def test_gkdim_module_with_torus_point(capsys):
     code, out, _ = run_cli(["gkdim", "module", "--n", "2", "--word", "1,2",
                             "--rmax", "4", "--t", "0,1;1,0"], capsys)

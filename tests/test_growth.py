@@ -164,6 +164,20 @@ def test_verify_witnesses_needs_the_exact_support():
                                 "support": [(0,), (1,)]}]
 
 
+def test_verify_witnesses_lands_below_the_float_range():
+    # three steps of 1e-120 leave 1e-360, below the smallest float; each
+    # image is lifted by a power of two, so the walk still lands, and an
+    # entry 1e-10 below the rest of its image still counts
+    tiny = qo.scale(1e-120, qo.elementary_tensor([qo.shift_up()]))
+    rep = growth.verify_witnesses([(tiny, 0, 1)], ("N",), Q, 3)
+    assert rep == {"patterns": 4, "failures": [], "ok": True}
+    noisy = qo.scale(1e-120, qo.elementary_tensor(
+        [qo.shift_up().add(qo.constant(1e-10))]))
+    rep = growth.verify_witnesses([(noisy, 0, 1)], ("N",), Q, 3)
+    assert [f["support"] for f in rep["failures"]] == \
+        [[(0,), (1,)], [(0,), (1,), (2,)], [(0,), (1,), (2,), (3,)]]
+
+
 @pytest.mark.parametrize("word,n", [((1,), 2), ((2,), 2), ((1, 2), 2),
                                     ((2, 1, 2), 2), ((1, 2, 1, 2), 2),
                                     ((1, 2, 3, 2, 1), 3)])

@@ -1,6 +1,6 @@
 """The compiled module kernel against symbolic application.
 
-growth.ModuleKernel expands a frontier by gather and scatter-add over
+growth.ModuleKernel.batches expands a frontier by gather and scatter-add over
 qoperators.compile_table; qoperators.apply_operator is the oracle, entry
 by entry, including amplitudes many decades below an image's largest,
 which both keep (only exact zeros go).  The module
@@ -72,13 +72,21 @@ def _decoded(kernel, keys, amps) -> dict:
     return dict(zip(zip(probe.tolist(), map(tuple, index)), amps.tolist()))
 
 
+def _images(kernel, frontier) -> list:
+    """(keys, amplitudes) of every image in the kernel's batches, in
+    (element, generator) order."""
+    return [(keys[a:b], amps[a:b])
+            for bounds, keys, amps in kernel.batches(frontier)
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 @pytest.mark.parametrize("case", CASES, ids=str)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_kernel_candidates_equal_apply_operator(kernels, case, data):
     gens, kernel = kernels[case]
     frontier = data.draw(_vectors(kernel))
-    candidates = list(kernel.expand([kernel.encode(v) for v in frontier]))
+    candidates = _images(kernel, [kernel.encode(v) for v in frontier])
     assert len(candidates) == len(frontier) * len(gens)
     expected = [qo.apply_operator(g, v, Q).entries
                 for v in frontier for g in gens]
@@ -137,8 +145,8 @@ def test_kernel_stacks_equal_apply_operator_per_probe(probe_kernels, case,
                                                       data):
     gens, kernel = probe_kernels[case]
     frontier = data.draw(_stacks(kernel))
-    candidates = list(kernel.expand([kernel.encode(*stack)
-                                     for stack in frontier]))
+    candidates = _images(kernel, [kernel.encode(*stack)
+                                  for stack in frontier])
     assert len(candidates) == len(frontier) * len(gens)
     expected = [{(i, index): a for i, v in enumerate(stack)
                  for index, a in qo.apply_operator(g, v, Q).entries.items()}
@@ -159,9 +167,9 @@ def test_kernel_raises_where_evaluate_raises():
         with pytest.raises(qo.QDomainError):
             qo.apply_operator(op, vec, Q)
         with pytest.raises(qo.QDomainError):
-            list(kernel.expand([kernel.encode(vec)]))
+            _images(kernel, [kernel.encode(vec)])
     vec = qo.SparseVector(("N",), {(2,): 1.0 + 0j, (3,): 0.5j})
-    [(keys, amps)] = kernel.expand([kernel.encode(vec)])
+    [(keys, amps)] = _images(kernel, [kernel.encode(vec)])
     assert _decoded(kernel, keys, amps) == \
         qo.apply_operator(op, vec, Q).entries
 
@@ -193,7 +201,7 @@ def test_kernel_refuses_an_index_outside_the_window():
         kernel.encode(qo.basis_vector(("N",), (3,)))
     last = kernel.encode(qo.basis_vector(("N",), (2,)))
     with pytest.raises(ValueError, match="window"):
-        list(kernel.expand([last]))
+        _images(kernel, [last])
 
 
 def test_kernel_refuses_circle_indices_outside_the_window():
@@ -209,10 +217,10 @@ def test_kernel_refuses_circle_indices_outside_the_window():
     for k in (-3, 4):
         edge = kernel.encode(qo.basis_vector(("Z",), (k,)))
         with pytest.raises(ValueError, match="window"):
-            list(kernel.expand([edge]))
+            _images(kernel, [edge])
     for k in (-2, 3):
         vec = qo.basis_vector(("Z",), (k,))
-        [(keys, amps)] = kernel.expand([kernel.encode(vec)])
+        [(keys, amps)] = _images(kernel, [kernel.encode(vec)])
         assert _decoded(kernel, keys, amps) == \
             qo.apply_operator(op, vec, Q).entries
 

@@ -225,7 +225,8 @@ def test_apply_operator_lists_entries_in_index_order():
 
 def test_signature_free_windows():
     # an operator on no slots is a scalar on a one-point window
-    two, half = qo.scalar_operator((), 2.0), qo.scalar_operator((), 0.5j)
+    one = qo.identity_operator(())
+    two, half = qo.scale(2.0, one), qo.scale(0.5j, one)
     assert qo.window_profiles(two, 3, Q) == {(): 2.0}
     assert qo.window_profiles(qo.zero_operator(()), 3, Q) == {}
     assert qo.window_magnitude(two, 3, Q) == 2.0

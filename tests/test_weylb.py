@@ -57,7 +57,7 @@ def test_braid_relations(n):
             assert prod * prod * prod * prod == e
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_length_matches_bfs(n):
     dist = bfs_lengths(n)
     assert len(dist) == 2 ** n * _factorial(n)

@@ -80,6 +80,19 @@ EDGE_JOBS = (
     ("entry:1:signed-zero-torus", ("rep", "entry", "--n", "1", "--word", "1",
                                    "--t=-0,-1", "--k", "1", "--l", "3")),
     ("dot:3:12321", ("diagram", "dot", "--n", "3", "--word", "1,2,3,2,1")),
+    ("paths:3:12321", ("diagram", "paths", "--n", "3", "--word", "1,2,3,2,1",
+                       "--from", "1", "--to", "7")),
+    ("weyl:3:normal-form", ("weyl", "normal-form", "--n", "3",
+                            "--word", "1,2,3,2,1,2,3")),
+    ("weyl:3:decompose", ("weyl", "decompose", "--n", "3",
+                          "--word", "3,2,3,2,1,2,3,2,1", "--indices", "2,3")),
+    ("weyl:3:longest", ("weyl", "longest", "--n", "3")),
+    ("weyl:3:longest:indices", ("weyl", "longest", "--n", "3",
+                                "--indices", "1,3")),
+    ("weyl:3:1:dims", ("weyl", "dims", "--n", "3", "--m", "1")),
+    ("weyl:3:3:dims", ("weyl", "dims", "--n", "3", "--m", "3")),
+    ("module:2:12:r48", ("gkdim", "module", "--n", "2", "--word", "1,2",
+                         "--rmax", "48")),
 )
 # the one job run with a broken witness list: a certificate failure, exit 4
 SHIFTED_WITNESS_JOB = ("homogeneous:1:1:shifted-witness",
