@@ -71,6 +71,12 @@ EDGE_JOBS = (
                             "--rmax", "5")),
     ("homogeneous:2:2:budget", ("gkdim", "homogeneous", "--n", "2", "--m", "2",
                                 "--rmax", "3", "--basis-cap", "30")),
+    ("homogeneous:3:3", ("gkdim", "homogeneous", "--n", "3", "--m", "3",
+                         "--rmax", "2", "--probe", "2")),
+    ("homogeneous:3:3:q0.3", ("gkdim", "homogeneous", "--n", "3", "--m", "3",
+                              "--rmax", "2", "--q", "0.3")),
+    ("homogeneous:2:2:q0.3", ("gkdim", "homogeneous", "--n", "2", "--m", "2",
+                              "--rmax", "3", "--q", "0.3")),
     ("entry:3:12321", ("rep", "entry", "--n", "3", "--word", "1,2,3,2,1",
                        "--k", "4", "--l", "4")),
     ("entry:2:torus", ("rep", "entry", "--n", "2", "--word", "1,2",
