@@ -11,13 +11,13 @@ with the rounding, the index order and the exact-zero drop of
 apply_operator.  elimination.WeightEchelon reduces the kernel's images a
 chunk at a time, split by torus-weight class, with exactly Echelon's float
 operations; Echelon's REL_TOL is the one place that judges float noise.
-Algebra growth runs it on operator words kept in closed symbolic form,
-reduced by Echelon on their monomial fingerprints; their rank is exact
-because each word expands over structurally independent monomials.  It
-runs once more on the action of the words on the probe vectors, on the
-same kernel and eliminator: circle slots take negative indices, and one
-frontier element stacks a word's images of all probes.  That rank is
-recorded alongside as a lower-bound cross-check.
+Algebra growth runs it on the monomial expansions of operator words, each
+expanded from its parent's, one letter shorter, and never composed; their
+rank under Echelon is exact because the monomials are structurally
+independent.  It runs once more on the action of the words on the probe
+vectors, on the same kernel and eliminator: circle slots take negative
+indices, and one frontier element stacks a word's images of all probes.
+That rank is a lower bound on the structural one, checked row by row.
 
 Lower bounds are certified by explicit witness words.  A witness system is
 a list of letters (operator, slot, step) that raise or lower one tensor
@@ -28,9 +28,9 @@ exponent patterns with their predicted basis index and computes each
 pattern's word from its parent, one letter shorter.  verify_witnesses walks
 with apply_operator from the vacuum and checks for both certificates that
 each word's image is supported on exactly its index; the patterns are
-counted (the lower bound) and, in the homogeneous case, walked with
-compose and ranked.  Witness landing stays on symbolic apply_operator,
-independent of the kernel.
+counted (the lower bound) and, in the homogeneous case, walked on
+monomial expansions and ranked.  Witness landing stays on symbolic
+apply_operator, independent of the kernel.
 Upper bounds come from the window read off the table, prod_s (D_s r + 1)
 with D_s the largest shift on slot s (module case), and a per-slot
 container count (algebra case).
@@ -101,6 +101,11 @@ class Echelon:
                     vec[k] = nv
         return None
 
+    def independent(self, batches):
+        """Yield, in order, the batches' candidates that join the span."""
+        return (vec for batch in batches for vec in batch
+                if self.add(vec) is not None)
+
 
 # ---------------------------------------------------------------------------
 # growth series
@@ -143,20 +148,6 @@ def _span_series(first, expand, independent, r_max: int, basis_cap: int,
         rank += len(frontier)
         values.append((r, rank))
     return GrowthSeries(context, values)
-
-
-def _independent_fingerprints(fingerprint):
-    """An independent() for _span_series: Echelon.add on each candidate's
-    fingerprint, the batches being lists of candidates."""
-    ech = Echelon()
-
-    def independent(batches):
-        for batch in batches:
-            for x in batch:
-                fp = fingerprint(x)
-                if fp and ech.add(fp) is not None:
-                    yield x
-    return independent
 
 
 def module_generators(table: GeneratorImageTable) -> list[TensorOperator]:
@@ -682,20 +673,19 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
     """Rank series of the span of operator words of length <= r.
 
     The rank is computed exactly from the structural monomial expansion of
-    each word (the calculus keeps compositions in closed form, so operator
-    equality is decidable).  The rank of the words' action on the probe
+    each word, expanded from its parent's, one letter shorter, without
+    composing operators.  The rank of the words' action on the probe
     vectors with index sum <= probe_cutoff is recorded as a consistency
     lower bound.
     """
     eta = homogeneous_rep(n, m, w)
     gens = homogeneous_generators(eta, n, m)
-    sig = eta.signature
     context = {"kind": "homogeneous", "n": n, "m": m}
     values = _span_series(
-        [qo.identity_operator(sig)],
-        lambda frontier: ([qo.compose(g, x) for g in gens] for x in frontier),
-        _independent_fingerprints(lambda op: qo.monomial_decomposition(op, q)),
-        r_max, basis_cap, context).values
+        [qo.monomial_decomposition(qo.identity_operator(eta.signature), q)],
+        lambda frontier: ([qo.monomial_decomposition(g, q, x) for g in gens]
+                          for x in frontier),
+        Echelon().independent, r_max, basis_cap, context).values
     probe_values = _probe_rank_series(gens, q, r_max, probe_cutoff,
                                       basis_cap, context)
     flags = [f"probe rank {dp} exceeds structural rank {d} at r={r}"
@@ -730,7 +720,8 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     admissible patterns of total <= r, once their words are independent,
     put that many independent words of length <= 2r into the span: a lower
     bound of degree target.  A row is ok when the witness rank equals that
-    count and the measured series stays under the container upper bound.
+    count and the measured series lies between the probe rank and the
+    container bound.
     One verify_witnesses call checks the landing of every witness up to
     the budget, as in module_certificate; the words of total <= r_max are
     ranked; r_max must be >= 1, as there.
@@ -751,21 +742,20 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     letters = homogeneous_witnesses(n, m, w)
     sig = letters[0][0].signature
     witness_ok = verify_witnesses(letters, sig, q, _WITNESS_BUDGET)["ok"]
-    fingerprints = [[] for _ in range(r_max + 1)]
-    for exps, _, word in _witness_walk(letters, sig, r_max,
-                                       qo.identity_operator(sig), qo.compose):
-        fingerprints[sum(exps)].append(qo.monomial_decomposition(word, q))
-    ech = Echelon()
-    lower, rows = 0, []
+    probe = dict(series.context["probe_values"])
+    # totals ascend: a total's last pattern sees every pattern up to it
+    ech, lower, rank, rows = Echelon(), {}, {}, []
+    for count, (exps, _, fp) in enumerate(_witness_walk(
+            letters, sig, r_max,
+            qo.monomial_decomposition(qo.identity_operator(sig), q),
+            lambda op, x: qo.monomial_decomposition(op, q, x)), start=1):
+        ech.add(fp)
+        lower[sum(exps)], rank[sum(exps)] = count, len(ech)
     for r in range(r_max + 1):
-        for fp in fingerprints[r]:
-            lower += 1
-            if fp:
-                ech.add(fp)
-        container = algebra_container_bound(n, m, w, r)
-        rows.append({"r": r, "d": d[r], "lower": lower,
-                     "witness_rank": len(ech), "upper": container,
-                     "ok": len(ech) == lower and d[r] <= container})
+        upper = algebra_container_bound(n, m, w, r)
+        rows.append({"r": r, "d": d[r], "lower": lower[r],
+                     "witness_rank": rank[r], "upper": upper,
+                     "ok": rank[r] == lower[r] and probe[r] <= d[r] <= upper})
     est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
                                                         "slope": 0.0}
     return series, GrowthCertificate(target, rows, witness_ok, est)

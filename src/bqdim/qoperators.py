@@ -32,7 +32,7 @@ equal are the same bits: no -0.0 against 0.0, no int against complex.
 Coefficient and WeightedShiftSum compare, hash and sort by one exact_key,
 the integers and the constant's repr: equal values mean bit-identical
 arithmetic, so typed functools caches keyed on them return what
-recomputing would: slot compose, the factor expansions of
+recomputing would: slot compose, the per-monomial factor expansions of
 monomial_decomposition, the slot window maxima of window_deviation_bound
 and the factor normalisation of TensorOperator.canonical.  q lies in
 (0, 1), where float == means equal bits.  Cached values are tuples,
@@ -633,8 +633,10 @@ def window_magnitude(op: TensorOperator, cutoff: int, q: float) -> float:
 # structural monomial expansion
 # ---------------------------------------------------------------------------
 
-def monomial_decomposition(op: TensorOperator, q: float) -> dict:
-    """Expansion of an operator over structurally independent monomials.
+def monomial_decomposition(op: TensorOperator, q: float,
+                           start: dict | None = None) -> dict:
+    """Expansion of op o x over structurally independent monomials, where
+    start is the expansion of x (by default the identity's, so op's own).
 
     A monomial key is a per-slot tuple (shift degree, q-power slope,
     squarefree radical content); see Coefficient.monomials.  Within one
@@ -642,25 +644,32 @@ def monomial_decomposition(op: TensorOperator, q: float) -> dict:
     driven by a single alphabet letter), so distinct keys are linearly
     independent as operators: an operator vanishes iff every returned
     coefficient does, and ranks of expansions equal ranks of operators.
+    Expansion is linear, so op o x expands from start key by key and slot
+    by slot: operator words expand letter by letter, never composed.
     """
+    if start is None:
+        start = {((0, 0, ()),) * len(op.signature): 1.0 + 0j}
     flat: dict[tuple, complex] = {}
-    for scalar, factors in op.summands:
-        stack: list[tuple[tuple, complex]] = [((), scalar)]
-        for f in factors:
-            stack = [(key + (slot,), amp * val)
-                     for slot, val in _slot_monomials(f, q)
-                     for key, amp in stack]
-        for key, amp in stack:
-            flat[key] = flat.get(key, 0j) + amp
+    for base, coeff in start.items():
+        for scalar, factors in op.summands:
+            stack: list[tuple[tuple, complex]] = [((), coeff * scalar)]
+            for f, slot_key in zip(factors, base):
+                stack = [(key + (slot,), amp * val)
+                         for slot, val in _slot_monomials(f, slot_key, q)
+                         for key, amp in stack]
+            for key, amp in stack:
+                flat[key] = flat.get(key, 0j) + amp
     return {k: v for k, v in flat.items() if v != 0}
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _slot_monomials(f: WeightedShiftSum, q: float) -> tuple:
-    """(shift degree, q-power slope, radicals) keys of one factor with their
-    values, terms in order."""
-    return tuple(((d,) + struct, val) for d, c in f.terms
-                 for struct, val in c.monomials(q))
+def _slot_monomials(f: WeightedShiftSum, slot_key: tuple, q: float) -> tuple:
+    """(shift degree, q-power slope, radicals) keys, with their values, of
+    one factor composed with the slot monomial slot_key, terms in order."""
+    shift, qa, radicals = slot_key
+    m = Coefficient(qa=qa, radicals=radicals)
+    return tuple(((d + shift,) + struct, val) for d, c in f.terms
+                 for struct, val in m.times(c.shifted(-shift)).monomials(q))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -4,16 +4,19 @@ Every operation returns a canonical operator: TensorOperator.canonical,
 GeneratorImageTable.set and scale rely on this, they take their inputs as
 canonical and do not canonicalise them again.  Window evaluation at fixed
 q agrees with symbolic application, and the structural deviation bound
-bounds it.  The adjoint is an involution and composition is associative.
+bounds it.  The adjoint is an involution and composition is associative,
+and a composition's monomial expansion follows from the expansion of its
+right factor alone.
 All of these run on the process-wide caches of the per-slot calculus,
 so they also check that earlier examples leave no stale hits behind.
 """
 
+import functools
 import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
-from bqdim import qoperators as qo, repsoq
+from bqdim import growth, qoperators as qo, repsoq, weylb
 from bqdim.repsoq import RepSpec
 
 from test_acceptance import SAMPLE_WORDS
@@ -160,6 +163,36 @@ def test_compose_is_associative(ops):
     left = qo.monomial_decomposition(qo.compose(qo.compose(a, b), c), q)
     right = qo.monomial_decomposition(qo.compose(a, qo.compose(b, c)), q)
     assert _close(left, right)
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneous_generators(n, m):
+    w = weylb.longest_quotient_element(
+        n, weylb.ParabolicSubset.homogeneous(n, m))
+    return growth.homogeneous_generators(growth.homogeneous_rep(n, m, w), n, m)
+
+
+@st.composite
+def _word_and_letter(draw):
+    """Generators of a homogeneous space: a word x of length <= 3 as a list,
+    with x's first letter applied first, and one more letter g."""
+    gens = _homogeneous_generators(
+        *draw(st.sampled_from([(1, 1), (2, 2), (2, 1)])))
+    letter = st.sampled_from(gens)
+    return draw(st.lists(letter, max_size=3)), draw(letter)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_word_and_letter(), st.sampled_from([0.5, 0.3]))
+def test_expansion_step_equals_expanded_composition(case, q):
+    """The expansion of g o x computed from the expansion of x alone equals
+    the expansion of the composed operator g o x."""
+    word, g = case
+    x = qo.identity_operator(g.signature)
+    for letter in word:
+        x = qo.compose(letter, x)
+    step = qo.monomial_decomposition(g, q, qo.monomial_decomposition(x, q))
+    assert _close(step, qo.monomial_decomposition(qo.compose(g, x), q))
 
 
 def test_monomial_memo_is_keyed_on_q():

@@ -486,6 +486,22 @@ def test_homogeneous_certificate_n2():
     assert cert.rows[2]["witness_rank"] >= 14
 
 
+def test_probe_rank_above_the_structural_rank_fails_its_row(monkeypatch):
+    """The probe rank is a lower bound on d(r): above d(r), one of the two
+    ranks is wrong, so its row and the certificate fail."""
+    series, cert = growth.homogeneous_certificate(1, 1, 2, Q, probe_cutoff=2)
+    assert cert.ok and not series.flags
+    d1 = dict(series.values)[1]
+    real = growth._probe_rank_series
+    monkeypatch.setattr(growth, "_probe_rank_series", lambda *args: [
+        (r, d1 + 1 if r == 1 else dp) for r, dp in real(*args)])
+    series, cert = growth.homogeneous_certificate(1, 1, 2, Q, probe_cutoff=2)
+    assert [row["ok"] for row in cert.rows] == [True, False, True]
+    assert cert.witness_ok and not cert.ok
+    assert series.flags == [
+        f"probe rank {d1 + 1} exceeds structural rank {d1} at r=1"]
+
+
 def test_homogeneous_multi_family_chain():
     """The trivial-stabiliser quotient needs two witness families, the
     lower one acting through the embedded depth-one operators."""
