@@ -26,14 +26,14 @@ embedding maps, in the module case; the circle driver h0 and the pairs
 h_j = h0* g, h_j* in the homogeneous case.  One walk enumerates the
 exponent patterns with their predicted basis index and computes each
 pattern's word from its parent, one letter shorter.  verify_witnesses walks
-with apply_operator from the vacuum and checks for both certificates that
-each word's image is supported on exactly its index; the patterns are
-counted (the lower bound) and, in the homogeneous case, walked on
-monomial expansions and ranked.  Witness landing stays on symbolic
-apply_operator, independent of the kernel.
-Upper bounds come from the window read off the table, prod_s (D_s r + 1)
-with D_s the largest shift on slot s (module case), and a per-slot
-container count (algebra case).
+with symbolic apply_operator from the vacuum, independent of the kernel,
+and checks that each word's image is supported on exactly its index; the
+patterns are counted (the lower bound) and, in the homogeneous case,
+walked on monomial expansions and ranked.  Upper bounds come from the
+window read off the table, prod_s (D_s r + 1) with D_s the largest shift
+on slot s (module case), and a per-slot container count (algebra case).
+Both certificates build their rows in one place, and a failing row names
+its failed checks.
 """
 
 from __future__ import annotations
@@ -326,12 +326,6 @@ class ModuleKernel:
         return bounds, uniq % stack, sums
 
 
-def _module_kernel(spec: RepSpec, r_max: int, q: float) -> ModuleKernel:
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
-    return ModuleKernel(module_generators(repsoq.rep_table(spec)), q, r_max)
-
-
 def _kernel_span_series(kernel: ModuleKernel, start, r_max: int,
                         basis_cap: int, context: dict) -> GrowthSeries:
     """_span_series of the frontier element start on the kernel."""
@@ -343,9 +337,12 @@ def _kernel_span_series(kernel: ModuleKernel, start, r_max: int,
                         r_max, basis_cap, context)
 
 
-def _kernel_series(kernel: ModuleKernel, spec: RepSpec, r_max: int,
-                   basis_cap: int) -> GrowthSeries:
-    return _kernel_span_series(
+def _module_series(spec: RepSpec, r_max: int, q: float, basis_cap: int
+                   ) -> tuple[ModuleKernel, GrowthSeries]:
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
+    kernel = ModuleKernel(module_generators(repsoq.rep_table(spec)), q, r_max)
+    return kernel, _kernel_span_series(
         kernel, kernel.encode(qo.vacuum(kernel.signature)), r_max, basis_cap,
         {"kind": "module", "n": spec.n, "word": list(spec.word)})
 
@@ -353,8 +350,7 @@ def _kernel_series(kernel: ModuleKernel, spec: RepSpec, r_max: int,
 def module_growth(spec: RepSpec, r_max: int, q: float,
                   basis_cap: int = 20000) -> GrowthSeries:
     """Dimension series of span{words of length <= r applied to the vacuum}."""
-    return _kernel_series(_module_kernel(spec, r_max, q), spec, r_max,
-                          basis_cap)
+    return _module_series(spec, r_max, q, basis_cap)[1]
 
 
 def exponent_estimate(series: GrowthSeries) -> dict:
@@ -499,13 +495,6 @@ def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
     return report
 
 
-def verify_witness_chain(w: SignedPermutation, n: int, q: float,
-                         budget: int = 4) -> dict:
-    """verify_witnesses on the raising letters of w."""
-    letters = witness_chain(w, n)
-    return verify_witnesses(letters, ("N",) * len(letters), q, budget)
-
-
 @dataclass
 class GrowthCertificate:
     target: int
@@ -522,6 +511,31 @@ class GrowthCertificate:
 _WITNESS_BUDGET = 4
 
 
+def _certificate(series: GrowthSeries, target: int, letters: list[Letter],
+                 signature: tuple[str, ...], q: float, row
+                 ) -> GrowthCertificate:
+    """The certificate of series: row r holds r, d and the columns of
+    row(r, d), and is ok when row(r, d)'s named checks hold and every
+    witness pattern of total <= r lands (`landing`); a failing row lists
+    its failed checks under `why`."""
+    r_max = series.values[-1][0]
+    report = verify_witnesses(letters, signature, q,
+                              max(r_max, _WITNESS_BUDGET))
+    first_failure = min((sum(f["exponents"]) for f in report["failures"]),
+                        default=math.inf)
+    rows = []
+    for r, d in series.values:
+        columns, checks = row(r, d)
+        why = [name for name, ok in
+               {"landing": first_failure > r, **checks}.items() if not ok]
+        rows.append({"r": r, "d": d, **columns, "ok": not why,
+                     **({"why": why} if why else {})})
+    est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
+                                                        "slope": 0.0}
+    return GrowthCertificate(target, rows, first_failure > _WITNESS_BUDGET,
+                             est)
+
+
 def module_certificate(spec: RepSpec, r_max: int, q: float,
                        basis_cap: int = 20000
                        ) -> tuple[GrowthSeries, GrowthCertificate]:
@@ -531,10 +545,8 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     reduced word of the element, so the raising letters line up with the
     tensor slots.  Each witness of total s is a word of s generator images
     (A = 1), so the patterns of total <= r put binom(r + l, l) distinct
-    basis vectors into the span of words of length <= r.  One
-    verify_witnesses call over the totals up to max(r_max, _WITNESS_BUDGET)
-    checks them all; row r needs every pattern of total <= r to land.
-    The r = 0 row alone pins no growth degree, so r_max must be >= 1.
+    basis vectors into the span of words of length <= r.  The r = 0 row
+    alone pins no growth degree, so r_max must be >= 1.
     """
     if r_max < 1:
         raise ValueError(f"a certificate needs r_max >= 1, got {r_max}")
@@ -544,24 +556,17 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     if lw != len(spec.word):
         raise ValueError("word is not reduced; certificate needs a reduced word")
     canonical = RepSpec(n, weylb.normal_form(w).word(), spec.t)
-    kernel = _module_kernel(canonical, r_max, q)
-    series = _kernel_series(kernel, canonical, r_max, basis_cap)
+    kernel, series = _module_series(canonical, r_max, q, basis_cap)
     series.context["input_word"] = list(spec.word)
-    d = dict(series.values)
-    report = verify_witnesses(witness_chain(w, n), ("N",) * lw, q,
-                              max(r_max, _WITNESS_BUDGET))
-    first_failure = min((sum(f["exponents"]) for f in report["failures"]),
-                        default=math.inf)
-    rows = []
-    for r in range(r_max + 1):
+
+    def row(r, d):
         lower = math.comb(r + lw, lw)
-        upper = math.prod(d * r + 1 for d in kernel.shift_bounds)
-        rows.append({"r": r, "d": d[r], "lower": lower, "upper": upper,
-                     "ok": first_failure > r and lower <= d[r] <= upper})
-    est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
-                                                        "slope": 0.0}
-    return series, GrowthCertificate(lw, rows,
-                                      first_failure > _WITNESS_BUDGET, est)
+        upper = math.prod(s * r + 1 for s in kernel.shift_bounds)
+        return ({"lower": lower, "upper": upper},
+                {"lower": lower <= d, "upper": d <= upper})
+
+    return series, _certificate(series, lw, witness_chain(w, n), ("N",) * lw,
+                                q, row)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +681,7 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
     each word, expanded from its parent's, one letter shorter, without
     composing operators.  The rank of the words' action on the probe
     vectors with index sum <= probe_cutoff is recorded as a consistency
-    lower bound.
+    lower bound; past basis_cap it keeps its completed steps and a flag.
     """
     eta = homogeneous_rep(n, m, w)
     gens = homogeneous_generators(eta, n, m)
@@ -686,10 +691,11 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
         lambda frontier: ([qo.monomial_decomposition(g, q, x) for g in gens]
                           for x in frontier),
         Echelon().independent, r_max, basis_cap, context).values
-    probe_values = _probe_rank_series(gens, q, r_max, probe_cutoff,
-                                      basis_cap, context)
-    flags = [f"probe rank {dp} exceeds structural rank {d} at r={r}"
-             for (r, d), (_, dp) in zip(values, probe_values) if dp > d]
+    try:
+        probe_values, flags = _probe_rank_series(
+            gens, q, r_max, probe_cutoff, basis_cap, context), []
+    except BudgetExceeded as exc:
+        probe_values, flags = exc.partial.values, [f"probe {exc}"]
     context.update(word=list(weylb.normal_form(w).word()),
                    probe_cutoff=probe_cutoff, probe_values=probe_values)
     return GrowthSeries(context, values, flags)
@@ -719,43 +725,36 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     total s is a word of at most 2s generators (h_j = h0* g), so the
     admissible patterns of total <= r, once their words are independent,
     put that many independent words of length <= 2r into the span: a lower
-    bound of degree target.  A row is ok when the witness rank equals that
-    count and the measured series lies between the probe rank and the
-    container bound.
-    One verify_witnesses call checks the landing of every witness up to
-    the budget, as in module_certificate; the words of total <= r_max are
-    ranked; r_max must be >= 1, as there.
+    bound of degree target.  Row r checks that the witness rank equals that
+    count and that d lies between the probe rank and the container bound
+    (`probe` fails where the probe series stopped at the cap).
     """
     if r_max < 1:
         raise ValueError(f"a certificate needs r_max >= 1, got {r_max}")
-    R = ParabolicSubset.homogeneous(n, m)
-    w = weylb.longest_quotient_element(n, R)
+    w = weylb.longest_quotient_element(n, ParabolicSubset.homogeneous(n, m))
     lw = weylb.length(w)
     target = 2 * lw + n - m + 1
-    dims = weylb.classical_dimensions(n, m)
-    if target != dims["quotient_dim"]:
+    if target != weylb.classical_dimensions(n, m)["quotient_dim"]:
         raise AssertionError("target exponent disagrees with the dimension count")
 
     series = algebra_growth(n, m, w, r_max, q, probe_cutoff=probe_cutoff,
                             basis_cap=basis_cap)
-    d = dict(series.values)
     letters = homogeneous_witnesses(n, m, w)
     sig = letters[0][0].signature
-    witness_ok = verify_witnesses(letters, sig, q, _WITNESS_BUDGET)["ok"]
     probe = dict(series.context["probe_values"])
     # totals ascend: a total's last pattern sees every pattern up to it
-    ech, lower, rank, rows = Echelon(), {}, {}, []
+    ech, lower, rank = Echelon(), {}, {}
     for count, (exps, _, fp) in enumerate(_witness_walk(
             letters, sig, r_max,
             qo.monomial_decomposition(qo.identity_operator(sig), q),
             lambda op, x: qo.monomial_decomposition(op, q, x)), start=1):
         ech.add(fp)
         lower[sum(exps)], rank[sum(exps)] = count, len(ech)
-    for r in range(r_max + 1):
+
+    def row(r, d):
         upper = algebra_container_bound(n, m, w, r)
-        rows.append({"r": r, "d": d[r], "lower": lower[r],
-                     "witness_rank": rank[r], "upper": upper,
-                     "ok": rank[r] == lower[r] and probe[r] <= d[r] <= upper})
-    est = exponent_estimate(series) if r_max >= 3 else {"log_ratio": 0.0,
-                                                        "slope": 0.0}
-    return series, GrowthCertificate(target, rows, witness_ok, est)
+        return ({"lower": lower[r], "witness_rank": rank[r], "upper": upper},
+                {"upper": d <= upper, "witness_rank": rank[r] == lower[r],
+                 "probe": r in probe and probe[r] <= d})
+
+    return series, _certificate(series, target, letters, sig, q, row)

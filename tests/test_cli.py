@@ -246,6 +246,26 @@ def test_gkdim_budget_exit_code_with_partial_series(capsys):
     assert data["partial_series"][0] == [0, 1]
 
 
+def test_probe_budget_stop_is_a_certificate_failure(capsys, monkeypatch):
+    """The structural series fits under the cap, so a probe series that
+    passes it fails the rows it did not reach (exit 4), not the budget."""
+    from bqdim import growth
+
+    def stopped(gens, q, r_max, probe_cutoff, basis_cap, context):
+        raise growth.BudgetExceeded(
+            f"basis size exceeded {basis_cap} at step 2",
+            growth.GrowthSeries(context, [(0, 1), (1, 10)]))
+
+    monkeypatch.setattr(growth, "_probe_rank_series", stopped)
+    code, out, _ = run_cli(["gkdim", "homogeneous", "--n", "1", "--m", "1",
+                            "--rmax", "2", "--probe", "1"], capsys)
+    data = json.loads(out)
+    assert code == 4
+    assert "partial_series" not in data and "error" not in data
+    assert data["context"]["probe_values"] == [[0, 1], [1, 10]]
+    assert [row.get("why") for row in data["rows"]] == [None, None, ["probe"]]
+
+
 def test_determinism_across_threads(capsys, tmp_path):
     outputs = []
     for threads, name in ((1, "a.csv"), (4, "b.csv")):

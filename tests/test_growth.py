@@ -183,7 +183,8 @@ def test_verify_witnesses_lands_below_the_float_range():
                                     ((1, 2, 3, 2, 1), 3)])
 def test_witness_chain_vacuum_patterns(word, n):
     w = weylb.from_word(word, n)
-    rep = growth.verify_witness_chain(w, n, Q, budget=4)
+    rep = growth.verify_witnesses(growth.witness_chain(w, n),
+                                  ("N",) * weylb.length(w), Q, budget=4)
     assert rep["ok"], rep["failures"][:3]
 
 
@@ -192,7 +193,8 @@ def test_witness_chain_every_rank_two_element():
     for w in all_elements(2):
         if weylb.length(w) == 0:
             continue
-        rep = growth.verify_witness_chain(w, 2, Q, budget=4)
+        rep = growth.verify_witnesses(growth.witness_chain(w, 2),
+                                      ("N",) * weylb.length(w), Q, budget=4)
         assert rep["ok"], (w.images, rep["failures"][:2])
 
 
@@ -203,7 +205,8 @@ def test_witness_chain_rank_three_sweep():
     for w in all_elements(3):
         if not 1 <= weylb.length(w) <= 6:
             continue
-        rep = growth.verify_witness_chain(w, 3, Q, budget=3)
+        rep = growth.verify_witnesses(growth.witness_chain(w, 3),
+                                      ("N",) * weylb.length(w), Q, budget=3)
         assert rep["ok"], (w.images, rep["failures"][:2])
         checked += 1
     assert checked == 38
@@ -497,9 +500,8 @@ def test_probe_rank_above_the_structural_rank_fails_its_row(monkeypatch):
         (r, d1 + 1 if r == 1 else dp) for r, dp in real(*args)])
     series, cert = growth.homogeneous_certificate(1, 1, 2, Q, probe_cutoff=2)
     assert [row["ok"] for row in cert.rows] == [True, False, True]
+    assert cert.rows[1]["why"] == ["probe"]
     assert cert.witness_ok and not cert.ok
-    assert series.flags == [
-        f"probe rank {d1 + 1} exceeds structural rank {d1} at r=1"]
 
 
 def test_homogeneous_multi_family_chain():
@@ -541,8 +543,9 @@ def test_growth_series_structural_in_q(q):
     """Dimension series and witness patterns are q-independent facts."""
     s = growth.module_growth(RepSpec(2, (2, 1, 2)), 4, q)
     assert s.dims() == [1, 7, 22, 50, 95]
-    rep = growth.verify_witness_chain(weylb.from_word((2, 1, 2), 2), 2, q,
-                                      budget=3)
+    w = weylb.from_word((2, 1, 2), 2)
+    rep = growth.verify_witnesses(growth.witness_chain(w, 2),
+                                  ("N",) * weylb.length(w), q, budget=3)
     assert rep["ok"]
     a = growth.algebra_growth(1, 1, weylb.from_word((1,), 1), 2, q,
                               probe_cutoff=3)
@@ -629,3 +632,58 @@ def test_homogeneous_certificate_reports_witness_failure(
     _, cert = growth.homogeneous_certificate(1, 1, 1, Q, probe_cutoff=1)
     assert cert.witness_ok is False
     assert cert.ok is False
+
+
+def test_rows_that_miss_a_witness_fail_on_landing(
+        shifted_homogeneous_witness):
+    """Row r needs every witness pattern of total <= r to land; the shifted
+    h0 letter misses from total 1 on, and that is each row's one failure."""
+    _, cert = growth.homogeneous_certificate(1, 1, 2, Q, probe_cutoff=1)
+    assert [row["ok"] for row in cert.rows] == [True, False, False]
+    assert [row.get("why") for row in cert.rows] == \
+        [None, ["landing"], ["landing"]]
+
+
+def test_passing_rows_carry_no_reason():
+    _, module = growth.module_certificate(RepSpec(2, (1, 2)), 4, Q)
+    _, homogeneous = growth.homogeneous_certificate(1, 1, 3, Q,
+                                                    probe_cutoff=2)
+    for cert in (module, homogeneous):
+        assert cert.ok
+        assert not any("why" in row for row in cert.rows)
+
+
+def test_homogeneous_witnesses_land_up_to_r_max(monkeypatch):
+    """The homogeneous certificate lands its witnesses up to r_max, like
+    the module certificate, not only up to the fixed budget of 4."""
+    budgets = []
+    real = growth.verify_witnesses
+
+    def spy(letters, signature, q, budget=4):
+        budgets.append(budget)
+        return real(letters, signature, q, budget)
+
+    monkeypatch.setattr(growth, "verify_witnesses", spy)
+    _, cert = growth.homogeneous_certificate(1, 1, 5, Q, probe_cutoff=1)
+    assert budgets == [5]
+    assert cert.ok
+
+
+def test_probe_series_past_the_cap_fails_the_remaining_rows(monkeypatch):
+    """A probe rank is at most d(r), so a probe series that passes the cap
+    contradicts a d(r) under it: the completed probe steps are kept and
+    the rows past them fail `probe`; no probe value is made up."""
+    def stopped(gens, q, r_max, probe_cutoff, basis_cap, context):
+        raise growth.BudgetExceeded(
+            f"basis size exceeded {basis_cap} at step 2",
+            GrowthSeries(context, [(0, 1), (1, 10)],
+                         ["budget exceeded at step 2"]))
+
+    monkeypatch.setattr(growth, "_probe_rank_series", stopped)
+    series, cert = growth.homogeneous_certificate(1, 1, 3, Q, probe_cutoff=2)
+    assert series.dims() == [1, 10, 35, 84]
+    assert series.context["probe_values"] == [(0, 1), (1, 10)]
+    assert series.flags == ["probe basis size exceeded 20000 at step 2"]
+    assert [row.get("why") for row in cert.rows] == \
+        [None, None, ["probe"], ["probe"]]
+    assert cert.witness_ok and not cert.ok

@@ -77,6 +77,10 @@ EDGE_JOBS = (
                               "--rmax", "2", "--q", "0.3")),
     ("homogeneous:2:2:q0.3", ("gkdim", "homogeneous", "--n", "2", "--m", "2",
                               "--rmax", "3", "--q", "0.3")),
+    # the probe series passes the cap while d(2) = 345 fits under it
+    ("homogeneous:2:1:q0.05:cap348", ("gkdim", "homogeneous", "--n", "2",
+                                      "--m", "1", "--rmax", "2", "--q", "0.05",
+                                      "--basis-cap", "348")),
     ("entry:3:12321", ("rep", "entry", "--n", "3", "--word", "1,2,3,2,1",
                        "--k", "4", "--l", "4")),
     ("entry:2:torus", ("rep", "entry", "--n", "2", "--word", "1,2",
