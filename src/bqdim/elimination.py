@@ -1,10 +1,11 @@
-"""Elimination of the growth kernel's images by torus-weight class.
+"""Elimination of the growth kernels' images by torus-weight class.
 
-WeightEchelon performs growth.Echelon.add's float operations on the
-kernel's batches of images, a chunk of them at a time in numpy, so both
-accept the same candidates and store the same rows.  Echelon reduces one
-dict at a time and serves the symbolic series; it is the reference of
-WeightEchelon's law test.
+WeightEchelon reduces a kernel's batches of images, a chunk of them at a
+time in numpy, with the float operations of a row echelon over sparse
+dicts that pivots on the largest key and reduces one image at a time: the
+reference of its law test, which keeps that echelon.  Every growth series
+and the witness rank run on it, and REL_TOL is the one place in growth
+that judges float noise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ import math
 
 import numpy as np
 
-from .growth import Echelon
+from .growth import _groups
+
+# a candidate's residual entry at or below REL_TOL times its largest
+# initial |entry| is noise
+REL_TOL = 1e-8
 
 
 def _annihilator(vectors: list[tuple[int, ...]], dim: int) -> np.ndarray:
@@ -54,18 +59,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def _groups(sizes: np.ndarray, limit: int):
-    """Yield (start, stop) of consecutive runs of sizes that sum to at most
-    limit, or hold one item."""
-    ends = np.cumsum(sizes)
-    i = 0
-    while i < len(ends):
-        j = max(i + 1, int(np.searchsorted(
-            ends, (ends[i - 1] if i else 0) + limit, "right")))
-        yield i, j
-        i = j
-
-
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
     """a, or a zero-padded copy at least twice as long, holding size."""
     if size <= len(a):
@@ -81,26 +74,33 @@ _CHUNK_CELLS = 1 << 14
 
 
 class WeightEchelon:
-    """Echelon.add over a kernel's batches, a chunk of images at a time.
+    """A sparse row echelon over a kernel's batches, a chunk of images at a
+    time, with the outcome of reducing one image at a time.
 
-    The summands of a generator shift an index by vectors that differ by a
-    lattice L.  With the differences within each probe's start support
-    added to L, and P an integer basis of its annihilator, every stacked
-    image of a word lies in one weight class P (k - s_i), s_i a support
-    point of probe i.  A pivot row lies in the class of the image that made
-    it, so classes never meet.  Keys get an id on first sight; the layout
-    lists each class's known keys in descending order, the order in which
-    Echelon pops them, and grows with each chunk.
+    The reference reduces each image, in order, against the pivot rows,
+    taking its largest remaining key each step: an entry at or below the
+    floor (REL_TOL times the image's largest initial |entry|) is dropped,
+    an entry on a pivot subtracts amp times that pivot row, and any other
+    entry makes the rest of the image a new pivot row, divided by it.
+
+    The combinations of a generator move the torus index of a key by
+    vectors that differ by the kernel's lattice L.  With the differences
+    within each probe's start support added to L, and P an integer basis of
+    its annihilator, every stacked image of a word lies in one weight class
+    P (k - s_i), s_i a support point of probe i.  A pivot row lies in the
+    class of the image that made it, so classes never meet.  Keys get an id
+    on first sight; the layout lists each class's known keys in descending
+    order (kernel.sort_keys), the order in which the reference takes them,
+    and grows with each chunk.
 
     A chunk is swept in dense rows over the columns of their classes, all
     rows at one column at a time.  A row whose entry there is at or below
-    its floor (REL_TOL times its largest initial |entry|) drops it.
-    Otherwise the first such row of a class without a pivot there becomes
-    the pivot, normalised as Python divides complex numbers, and stops;
-    every other such row subtracts amp times the pivot row, multiplied as
-    Python multiplies complex numbers.  Within each class these are
-    Echelon.add's float operations in Echelon.add's order, so the accepted
-    images and the stored rows are Echelon's.
+    its floor drops it.  Otherwise the first such row of a class without a
+    pivot there becomes the pivot, normalised as Python divides complex
+    numbers, and stops; every other such row subtracts amp times the pivot
+    row, multiplied as Python multiplies complex numbers.  Within each
+    class these are the reference's float operations in its order, so the
+    accepted images and the stored rows are the reference's.
     """
 
     def __init__(self, kernel, start):
@@ -111,11 +111,7 @@ class WeightEchelon:
         self._base = np.zeros((kernel.probes, len(kernel.radices)),
                               dtype=np.int64)
         self._base[probe] = index
-        # the table lists each generator's combinations together
-        t = kernel.table
-        lead = np.searchsorted(t.operator, t.operator)
-        lattice = np.concatenate([t.shift - t.shift[lead],
-                                  index - self._base[probe]])
+        lattice = np.concatenate([kernel.lattice, index - self._base[probe]])
         self._projection = _annihilator(
             sorted(set(map(tuple, lattice.tolist()))), len(kernel.radices))
         self.rank = 0
@@ -172,7 +168,8 @@ class WeightEchelon:
         """The column of every known key: its rank in its class, in
         descending key order; classes lie in class order."""
         n = len(self._keys)
-        self._ids = np.lexsort((-self._keys, self._class))
+        self._ids = np.lexsort((-self.kernel.sort_keys(self._keys),
+                                self._class))
         self._class_width = np.bincount(self._class,
                                         minlength=len(self._classes))
         self._class_start = np.cumsum(self._class_width) - self._class_width
@@ -219,7 +216,7 @@ class WeightEchelon:
         cls = self._class[ids[bounds[rows]]]
         if (self._class[ids] != np.repeat(cls, lengths[rows])).any():
             raise AssertionError("an image spans two weight classes")
-        floor = Echelon.REL_TOL * np.maximum.reduceat(
+        floor = REL_TOL * np.maximum.reduceat(
             np.hypot(amps.real, amps.imag), bounds[rows])
         for i, j in _groups(self._class_width[cls], _CHUNK_CELLS):
             sweep = rows[i:j]

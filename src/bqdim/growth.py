@@ -2,38 +2,45 @@
 
 One span engine computes every series.  It iterates a frontier: every
 generator acts on the newest basis elements of the span of words applied
-to a start element, and the results are rank-reduced by sparse Gaussian
-elimination with a canonical pivot order.  Module growth runs it on
-vectors, from the vacuum, through a kernel compiled once per run at fixed
-q: basis indices are flat integers, every coefficient is evaluated once,
-and a block of frontier vectors is expanded by gather and scatter-add,
-with the rounding, the index order and the exact-zero drop of
-apply_operator.  elimination.WeightEchelon reduces the kernel's images a
-chunk at a time, split by torus-weight class, with exactly Echelon's float
-operations; Echelon's REL_TOL is the one place that judges float noise.
-Algebra growth runs it on the monomial expansions of operator words, each
-expanded from its parent's, one letter shorter, and never composed; their
-rank under Echelon is exact because the monomials are structurally
-independent.  It runs once more on the action of the words on the probe
-vectors, on the same kernel and eliminator: circle slots take negative
-indices, and one frontier element stacks a word's images of all probes.
-That rank is a lower bound on the structural one, checked row by row.
+to a start element, and the results are rank-reduced with a canonical
+pivot order.  The generators are compiled once per run at fixed q into
+per-slot transition tables over integer slot digits, and one routine
+expands a block of frontier elements by gather and scatter-add.  A key
+packs its slot digits in mixed radix where block keys of the whole index
+space fit int64; past that (monomial kernels from rank 4 on) it is an
+interned id of the packed digits of slot groups.  Module
+growth runs it on vectors from the vacuum (ModuleKernel): a slot term is
+one term of a factor, with one output, its coefficient evaluated once per
+index; the images carry the rounding, the index order and the exact-zero
+drop of apply_operator.  Algebra growth runs it on the monomial
+expansions of operator words from the identity's (MonomialKernel): a slot
+term is a whole factor, whose outputs are the monomials of its product
+with the slot key; each word expands from its parent's, one letter
+shorter, never composed, bit for bit as monomial_decomposition expands it.
+elimination.WeightEchelon reduces the images a chunk at a time, split by
+torus-weight class, and its REL_TOL is the one place that judges float
+noise, so every rank is a float rank.  Algebra growth runs the span once
+more on the action of the words on the probe vectors, on the module
+kernel: circle slots take negative indices, and one frontier element
+stacks a word's images of all probes.  That rank is a lower bound on the
+structural one, checked row by row.
 
 Lower bounds are certified by explicit witness words.  A witness system is
 a list of letters (operator, slot, step) that raise or lower one tensor
 slot each: single generator images, recovered part by part through the
 embedding maps, in the module case; the circle driver h0 and the pairs
-h_j = h0* g, h_j* in the homogeneous case.  One walk enumerates the
-exponent patterns with their predicted basis index and computes each
-pattern's word from its parent, one letter shorter.  verify_witnesses walks
-with symbolic apply_operator from the vacuum, independent of the kernel,
-and checks that each word's image is supported on exactly its index; the
-patterns are counted (the lower bound) and, in the homogeneous case,
-walked on monomial expansions and ranked.  Upper bounds come from the
-window read off the table, prod_s (D_s r + 1) with D_s the largest shift
-on slot s (module case), and a per-slot container count (algebra case).
-Both certificates build their rows in one place, and a failing row names
-its failed checks.
+h_j = h0* g, h_j* in the homogeneous case.  _witness_levels enumerates
+the exponent patterns, total by total, with their predicted basis index
+and their parent, one letter shorter, from whose word each pattern's word
+is computed.  verify_witnesses computes the words' images with symbolic
+apply_operator from the vacuum, independent of the kernels, and checks
+that each is supported on exactly its index; the patterns are counted
+(the lower bound) and, in the homogeneous case, walked on a monomial
+kernel of the letters and ranked.  Upper bounds come from the window read
+off the table, prod_s (D_s r + 1) with D_s the largest shift on slot s
+(module case), and a per-slot container count (algebra case).  Both
+certificates build their rows in one place, and a failing row names its
+failed checks.
 """
 
 from __future__ import annotations
@@ -58,56 +65,6 @@ class BudgetExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# deterministic sparse rank maintenance
-# ---------------------------------------------------------------------------
-
-class Echelon:
-    """Row echelon over sparse vectors keyed by a canonical index order.
-
-    Pivots are maximal keys under tuple comparison; a candidate whose
-    residual drops below REL_TOL times its own scale is dependent.
-    """
-
-    REL_TOL = 1e-8
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    def __len__(self) -> int:
-        return len(self.pivots)
-
-    def add(self, vec: dict) -> dict | None:
-        """Reduce vec against the pivots; if a residual survives, store it
-        normalised to a leading 1 and return it, else return None."""
-        vec = dict(vec)
-        floor = self.REL_TOL * max((abs(v) for v in vec.values()), default=0.0)
-        while vec:
-            key = max(vec)
-            amp = vec.pop(key)
-            if abs(amp) <= floor:
-                continue
-            pivot = self.pivots.get(key)
-            if pivot is None:
-                vec[key] = amp
-                normal = self.pivots[key] = {k: v / amp for k, v in vec.items()}
-                return normal
-            for k, v in pivot.items():
-                if k == key:
-                    continue
-                nv = vec.get(k, 0j) - amp * v
-                if nv == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
-        return None
-
-    def independent(self, batches):
-        """Yield, in order, the batches' candidates that join the span."""
-        return (vec for batch in batches for vec in batch
-                if self.add(vec) is not None)
-
-
-# ---------------------------------------------------------------------------
 # growth series
 # ---------------------------------------------------------------------------
 
@@ -121,23 +78,25 @@ class GrowthSeries:
         return [d for _, d in self.values]
 
 
-def _span_series(first, expand, independent, r_max: int, basis_cap: int,
+def _span_series(kernel: _SlotKernel, start, r_max: int, basis_cap: int,
                  context: dict) -> GrowthSeries:
-    """Rank series of the span of words of length <= r applied to a start.
+    """Rank series of the span of words of length <= r applied to start.
 
-    first is a batch holding the start alone.  expand(frontier) yields, in
-    batches, the image of every frontier element under every generator, in
-    (element, generator) order; independent(batches) reduces their
-    candidates in that order against the span so far and yields the ones
-    that join it, in order: the next frontier.  Past basis_cap the series up
-    to the previous step rides on the BudgetExceeded error.
+    start is one frontier element of the kernel.  Each step expands the
+    newest basis elements under every generator and reduces the images in
+    (element, generator) order against the span so far; the ones that join
+    it are the next frontier.  Past basis_cap the series up to the previous
+    step rides on the BudgetExceeded error.
     """
-    frontier = list(independent([first]))
+    # imported on first use: runs without a series never compile it
+    from .elimination import WeightEchelon
+    independent = WeightEchelon(kernel, start).independent
+    frontier = list(independent([(np.array([0, len(start[0])]), *start)]))
     rank = len(frontier)
     values = [(0, rank)]
     for r in range(1, r_max + 1):
         new_frontier = []
-        for out in independent(expand(frontier)):
+        for out in independent(kernel.batches(frontier)):
             new_frontier.append(out)
             if rank + len(new_frontier) > basis_cap:
                 raise BudgetExceeded(
@@ -167,63 +126,385 @@ def homogeneous_generators(eta: GeneratorImageTable, n: int, m: int
     return gens
 
 
-# (frontier entry, term combination) cells per numpy pass: bounds the
-# temporaries while keeping the per-pass overhead small
+# (frontier entry, term combination) cells per numpy pass, and terms per
+# run of a block's expansion: bound the temporaries while keeping the
+# per-pass overhead small
 _BLOCK_CELLS = 8192
+_EXPAND_TERMS = 1 << 19
+# block keys (candidate, probe, key) at most this large hold the whole
+# index space; past it a kernel interns the keys it reaches, chaining the
+# codes of slot groups of at most _GROUP_CODES keys through ids below
+# _IDS, so that id * codes + code and a block key candidate * _IDS + id
+# still fit int64
+_DENSE_KEYS = np.iinfo(np.int64).max
+_GROUP_CODES = 1 << 32
+_IDS = 1 << 31
 
 
-class ModuleKernel:
+def _groups(sizes: np.ndarray, limit: int):
+    """Yield (start, stop) of consecutive runs of sizes that sum to at most
+    limit, or hold one item."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < len(ends):
+        j = max(i + 1, int(np.searchsorted(
+            ends, (ends[i - 1] if i else 0) + limit, "right")))
+        yield i, j
+        i = j
+
+
+class _Ids:
+    """Ids of int64 codes, numbered as they are first seen (codes first
+    seen in one call in code order); codes[i] is the code of id i."""
+
+    def __init__(self):
+        self.codes = np.zeros(0, dtype=np.int64)
+        self._sorted = np.zeros(0, dtype=np.int64)
+        self._order = np.zeros(0, dtype=np.int64)
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self._sorted, codes)
+        seen = at < len(self._sorted)
+        seen[seen] = self._sorted[at[seen]] == codes[seen]
+        if not seen.all():
+            fresh = np.unique(codes[~seen])
+            n = len(self.codes)
+            if n + len(fresh) > _IDS:
+                raise ValueError(f"more than {_IDS} interned keys are too "
+                                 f"many for int64 block keys")
+            self.codes = np.concatenate([self.codes, fresh])
+            at = np.searchsorted(self._sorted, fresh)
+            self._sorted = np.insert(self._sorted, at, fresh)
+            self._order = np.insert(self._order, at,
+                                    np.arange(n, n + len(fresh)))
+            at = np.searchsorted(self._sorted, codes)
+        return self._order[at]
+
+
+class _SlotTable:
+    """One slot's transitions at fixed q, from dense (term, digit) counts and
+    (term, digit, output) target digits and values.  Cell t * digits + k
+    holds slot term t on digit k: count[cell] outputs, output j at
+    cell * width + j, which moves the slot's group code by step and
+    multiplies by re + i im.  offset holds each combination's term at digit
+    0, inside marks the digits whose outputs all lie in the window, bad the
+    cells where Coefficient.evaluate raises although the target exists
+    (None for no such cell), and index maps a digit to its torus index."""
+
+    def __init__(self, term, count, target, value, inside, bad, index,
+                 stride: int):
+        digits = len(inside)
+        self.offset = np.asarray(term, dtype=np.int64) * digits
+        self.count = count.ravel()
+        self.width = value.shape[2]
+        self.step = ((target - np.arange(digits)[None, :, None])
+                     * stride).ravel()
+        self.re, self.im = value.real.ravel(), value.imag.ravel()
+        self.inside = inside
+        self.bad = bad.ravel() if bad is not None and bad.any() else None
+        self.index = np.asarray(index, dtype=np.int64)
+
+
+def _lattice(gens: list[TensorOperator], slots: int) -> np.ndarray:
+    """Integer rows spanning the differences between the shift vectors of
+    the term combinations of each generator."""
+    rows = []
+    for op in gens:
+        leads = [[f.terms[0][0] for f in fs] for _, fs in op.summands]
+        for lead, (_, fs) in zip(leads, op.summands):
+            rows.append([a - b for a, b in zip(lead, leads[0])])
+            rows += [[d - lead[s] if t == s else 0 for t in range(slots)]
+                     for s, f in enumerate(fs) for d, _ in f.terms[1:]]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), slots)
+
+
+class _SlotKernel:
+    """Generators at fixed q, compiled once into per-slot transition tables.
+
+    Slots fall into consecutive groups, and a group's code holds one digit
+    per slot in mixed radix, the first slot most significant; digit order
+    is the order of what the digits stand for, so code order is tuple
+    order.  A key is dense, the one group's code, when block keys of the
+    whole stacked index space fit int64, and otherwise an interned id of
+    its group codes, ordered by sort_keys; elimination pivots on that
+    order as on tuples.  A frontier element is a pair (keys, amplitudes)
+    of arrays holding a stack of `probes` elements, probe i offset by i
+    times the size.  A term combination c of generator operator[c] picks
+    one slot term per slot and sends a key to the cartesian product of its
+    slot terms' outputs, slot 0 fastest, each with amplitude times
+    scalar[c], then times the outputs' values in slot order.  batches
+    expands a block of elements at once by gather and scatter-add and
+    returns the block's images as one batch (bounds, keys, amplitudes),
+    image i being keys[bounds[i]:bounds[i+1]]; elimination.WeightEchelon
+    reduces them batch by batch.  Each target sums its terms in (entry,
+    combination, output) order, as a dict would, and only exact zeros are
+    dropped.
+    """
+
+    def __init__(self, gens: list[TensorOperator], radices: list[int],
+                 combinations: int, probes: int):
+        self.signature = gens[0].signature
+        self.n_gens = len(gens)
+        self.radices = radices
+        self.size = math.prod(radices)
+        self.probes = probes
+        self.lattice = _lattice(gens, len(radices))
+        # a block holds at most this many elements, each with at most one
+        # candidate per generator
+        self._block_elements = max(1, _BLOCK_CELLS // max(combinations, 1))
+        self.dense = (self._block_elements * self.n_gens * probes * self.size
+                      <= _DENSE_KEYS)
+        ends, codes = [], 1
+        for s, radix in enumerate(radices):
+            if not self.dense and s and codes * radix > _GROUP_CODES:
+                ends.append(s)
+                codes = 1
+            codes *= radix
+        ends.append(len(radices))
+        self._group = [sum(s >= e for e in ends) for s in range(len(radices))]
+        self._codes_per_group = [math.prod(radices[a:b]) for a, b
+                                 in zip([0] + ends[:-1], ends)]
+        self.strides = [math.prod(radices[s + 1:ends[g]])
+                        for s, g in enumerate(self._group)]
+        # keys per probe, and the interned ids of each group's chain code
+        self._span = self.size if self.dense else _IDS
+        self._ids = None if self.dense else [_Ids() for _ in ends]
+
+    def _compiled(self, operator, scalar, slots: list[_SlotTable]):
+        self.operator = np.array(operator, dtype=np.int64)
+        self.scalar = np.array(scalar, dtype=complex)
+        # the combinations of generator g are first[g]:first[g + 1]
+        self._first = np.searchsorted(self.operator,
+                                      np.arange(self.n_gens + 1))
+        self._slots = slots
+
+    def _codes(self, keys: np.ndarray) -> list[np.ndarray]:
+        """The group codes of keys (of a dense key, with its probe offset)."""
+        if self.dense:
+            return [keys]
+        chain, codes = self._ids[-1].codes[keys], []
+        for ids, size in zip(self._ids[-2::-1], self._codes_per_group[:0:-1]):
+            chain, code = np.divmod(chain, size)
+            codes.append(code)
+            chain = ids.codes[chain]
+        return [chain] + codes[::-1]
+
+    def _key(self, codes: list[np.ndarray]) -> np.ndarray:
+        """The keys of group codes: the code itself, or the id of the chain
+        ((id(code_0) * size_1 + code_1) ...), new ones interned."""
+        if self.dense:
+            return codes[0]
+        chain = codes[0]
+        for ids, code, size in zip(self._ids, codes[1:],
+                                   self._codes_per_group[1:]):
+            chain = ids(chain) * size + code
+        return self._ids[-1](chain)
+
+    def _digits(self, codes: list[np.ndarray]) -> list[np.ndarray]:
+        return [codes[g] // stride % radix for g, stride, radix
+                in zip(self._group, self.strides, self.radices)]
+
+    def sort_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Integers in the tuple order of distinct keys."""
+        if self.dense:
+            return keys
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[np.lexsort(self._codes(keys)[::-1])] = np.arange(len(keys))
+        return rank
+
+    def indices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The probe and the torus index (one row each) of stacked keys."""
+        index = np.array([slot.index[k] for slot, k in
+                          zip(self._slots, self._digits(self._codes(keys)))],
+                         dtype=np.int64)
+        return (keys // self._span,
+                index.reshape(len(self.radices), len(keys)).T)
+
+    def batches(self, frontier, letters=None):
+        """Yield the images of every frontier element under every generator,
+        in (element, generator) order, one batch per block; with letters
+        (a walk), element i goes under generator letters[i] alone."""
+        if letters is None:
+            width = np.full(len(frontier), len(self.operator))
+        else:
+            letters = np.asarray(letters, dtype=np.int64)
+            width = self._first[letters + 1] - self._first[letters]
+        start, cells = 0, 0
+        for i, x in enumerate(frontier):
+            cost = max(1, len(x[0])) * int(width[i])
+            if i > start and (cells + cost > _BLOCK_CELLS
+                              or i - start == self._block_elements):
+                yield self._expand_block(frontier[start:i], letters, start)
+                start, cells = i, 0
+            cells += cost
+        if start < len(frontier):
+            yield self._expand_block(frontier[start:], letters, start)
+
+    def _expand_block(self, block, letters, at: int):
+        """The images of the block, whose letters, in a walk, start at
+        letters[at]."""
+        keys = np.concatenate([k for k, _ in block])
+        amps = np.concatenate([a for _, a in block])
+        owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
+        codes = self._codes(keys)
+        digits = self._digits(codes)
+        if not all(slot.inside[k].all()
+                   for slot, k in zip(self._slots, digits)):
+            raise ValueError("a frontier index has images outside the "
+                             "window; expand only words of length < r_max")
+        # (entry, combination) pairs, entry-major: every combination, or in
+        # a walk the combinations of the entry's letter
+        if letters is None:
+            cells = [(slot.offset[None, :] + k[:, None]).ravel()
+                     for slot, k in zip(self._slots, digits)]
+        else:
+            g = letters[at + owner]
+            lo, n = self._first[g], self._first[g + 1] - self._first[g]
+            e = np.repeat(np.arange(len(keys)), n)
+            c = np.arange(len(e)) + np.repeat(lo + n - np.cumsum(n), n)
+            cells = [slot.offset[c] + k[e]
+                     for slot, k in zip(self._slots, digits)]
+        live = np.ones(len(keys) * len(self.operator) if letters is None
+                       else len(e), dtype=bool)
+        for s, (slot, cell) in enumerate(zip(self._slots, cells)):
+            # apply_operator evaluates every coefficient whose slot target
+            # exists, so a NaN there is a domain error
+            if slot.bad is not None and slot.bad[cell].any():
+                raise qo.QDomainError(
+                    f"negative radicand exponent on slot {s} in the window")
+            live &= slot.count[cell] > 0
+        if letters is None:
+            e, c = np.divmod(np.flatnonzero(live), len(self.operator))
+        else:
+            e, c = e[live], c[live]
+        cells = [cell[live] for cell in cells]
+        terms = np.ones(len(e), dtype=np.int64)
+        for slot, cell in zip(self._slots, cells):
+            if slot.width > 1:
+                terms *= slot.count[cell]
+        # scatter-add per (candidate, probe, target), the probe offset
+        # riding in the keys; a bounded run of pairs at a time, each run's
+        # sums starting from those of the runs before it, so every target
+        # sums its terms in (entry, combination, output) order
+        stack = self.probes * self._span
+        found = first = np.zeros(0, dtype=np.int64)
+        re_sum, im_sum, done = np.zeros(0), np.zeros(0), 0
+        for a, b in _groups(terms, _EXPAND_TERMS):
+            re, im, target, pair = self._terms(codes, amps, e[a:b], c[a:b],
+                                               [cell[a:b] for cell in cells])
+            cand = owner[e[a:b][pair]]
+            if letters is None:
+                cand = cand * self.n_gens + self.operator[c[a:b][pair]]
+            uniq, *seen, inv = np.unique(
+                np.concatenate([found, cand * stack + self._key(target)]),
+                return_index=self.first_seen_order, return_inverse=True)
+            re_sum = np.bincount(inv, weights=np.concatenate([re_sum, re]),
+                                 minlength=len(uniq))
+            im_sum = np.bincount(inv, weights=np.concatenate([im_sum, im]),
+                                 minlength=len(uniq))
+            if seen:
+                first = np.concatenate(
+                    [first, done + np.arange(len(re))])[seen[0]]
+            found, done = uniq, done + len(re)
+        sums = re_sum + 0j
+        sums.imag = im_sum
+        # only exact zeros go
+        keep = sums != 0
+        found, sums = found[keep], sums[keep]
+        n_cand = len(block) * (self.n_gens if letters is None else 1)
+        bounds = np.searchsorted(found, np.arange(n_cand + 1) * stack)
+        if self.first_seen_order:
+            # each image's keys in the order of their first terms
+            order = np.lexsort((first[keep], found // stack))
+            found, sums = found[order], sums[order]
+        return bounds, found % stack, sums
+
+    def _terms(self, codes, amps, e, c, cells):
+        """The terms of the (entry, combination) pairs (e, c) in order, as
+        real and imaginary parts, target group codes and the pair of each:
+        the amplitude times the scalar, then slot by slot, each slot's
+        outputs outermost over the products so far, in real arithmetic,
+        which rounds as Python's complex product does."""
+        a_re, a_im, s_re, s_im = (amps.real[e], amps.imag[e],
+                                  self.scalar.real[c], self.scalar.imag[c])
+        re, im = a_re * s_re - a_im * s_im, a_re * s_im + a_im * s_re
+        target = [code[e] for code in codes]
+        # per term, its pair (a slice while there is one per pair); per
+        # pair, its number of terms
+        pair, size = slice(None), np.ones(len(e), dtype=np.int64)
+        for slot, g, cell in zip(self._slots, self._group, cells):
+            if slot.width == 1:
+                out = cell[pair]
+            else:
+                grown = size * slot.count[cell]
+                new = np.repeat(np.arange(len(grown)), grown)
+                k = np.arange(len(new)) + np.repeat(grown - np.cumsum(grown),
+                                                    grown)
+                j, i = np.divmod(k, size[new])
+                source = np.repeat(np.cumsum(size) - size, grown) + i
+                re, im = re[source], im[source]
+                target = [t[source] for t in target]
+                out = cell[new] * slot.width + j
+                pair, size = new, grown
+            v_re, v_im = slot.re[out], slot.im[out]
+            re, im = re * v_re - im * v_im, re * v_im + im * v_re
+            target[g] = target[g] + slot.step[out]
+        return re, im, target, pair
+
+
+class ModuleKernel(_SlotKernel):
     """The generators of a module at fixed q, compiled for the span series.
 
     Slot s of a basis index reached from indices in 0..reach by words of
     length <= r_max lies in lo_s..hi_s, with hi_s = reach + D_s r_max and
     D_s the largest shift the generators make there; lo_s is -D_s r_max on
-    a Z (circle) slot and 0 on an N slot.  The index is encoded as one
-    integer in mixed radix hi_s - lo_s + 1 on the digits k_s - lo_s, slot 0
-    most significant, so integer order is tuple order and Echelon pivots as
-    it does on tuples.  A frontier element is a pair (keys, amplitudes) of
-    arrays holding a stack of `probes` vectors, probe i offset by i times
-    the window size; a module series stacks one vector, the vacuum, with
-    reach 0.  batches applies every generator to a block of elements at once
-    by gather, shift and scatter-add over the compiled table and returns the
-    block's images as one batch (bounds, keys, amplitudes), image i being
-    keys[bounds[i]:bounds[i+1]]; WeightEchelon reduces them batch by batch.
-    Each stacked image equals apply_operator's images of the stacked
-    vectors: the same nonzero entries in index order, rounded the same way;
-    only exact zeros are dropped.
+    a Z (circle) slot and 0 on an N slot.  The digit of index k_s is
+    k_s - lo_s.  A slot term is one term (d, c) of a factor, with one
+    output: the target k - d, where it exists (on an N slot, k >= d), and
+    the value c(k), evaluated once per digit by compile_table; a vanishing
+    value gives none.  A module series stacks one vector, the vacuum, with
+    reach 0.  Each stacked image equals apply_operator's images of the
+    stacked vectors: the same nonzero entries in index order, rounded the
+    same way.
     """
+
+    first_seen_order = False
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
                  reach: int = 0, probes: int = 1):
-        self.signature = gens[0].signature
         self.shift_bounds = qo.shift_bounds(gens)
-        self.circle = [kind == qo.BILATERAL for kind in self.signature]
+        self.circle = [kind == qo.BILATERAL for kind in gens[0].signature]
         self.lows = [-d * r_max if z else 0
                      for d, z in zip(self.shift_bounds, self.circle)]
-        self.radices = [reach + d * r_max - lo + 1
-                        for d, lo in zip(self.shift_bounds, self.lows)]
-        self.size = math.prod(self.radices)
-        self.probes = probes
-        self.n_gens = len(gens)
-        # block composite keys (candidate, probe, index) must fit in int64;
-        # a block holds at most _BLOCK_CELLS elements
-        if _BLOCK_CELLS * self.n_gens * probes * self.size > \
-                np.iinfo(np.int64).max:
+        super().__init__(
+            gens, [reach + d * r_max - lo + 1
+                   for d, lo in zip(self.shift_bounds, self.lows)],
+            sum(math.prod(len(f.terms) for f in fs)
+                for op in gens for _, fs in op.summands),
+            probes)
+        if not self.dense:
             raise ValueError(
                 f"{probes} stacked index spaces of {self.size} keys are too "
                 f"large for int64 block keys at r_max={r_max}")
-        self.strides = [math.prod(self.radices[s + 1:])
-                        for s in range(len(self.radices))]
         ks = range(min(self.lows, default=0),
                    max((lo + b for lo, b in zip(self.lows, self.radices)),
                        default=1))
-        self.table = qo.compile_table(gens, q, ks)
-        # coefficient column of digit 0 on each slot
-        self._columns = [lo - ks.start for lo in self.lows]
-        self._shift_key = self.table.shift @ np.array(self.strides,
-                                                      dtype=np.int64)
-        self._block_entries = max(1, _BLOCK_CELLS // len(self._shift_key))
-        self._has_nan = bool(np.isnan(self.table.coefficients).any())
+        t = qo.compile_table(gens, q, ks)
+        slots = []
+        for s, (lo, radix, bound, z) in enumerate(zip(
+                self.lows, self.radices, self.shift_bounds, self.circle)):
+            terms, term = np.unique(np.stack([t.shift[:, s], t.term[:, s]], 1),
+                                    axis=0, return_inverse=True)
+            k, shift = np.arange(radix), terms[:, :1]
+            value = t.coefficients[terms[:, 1]][:, k + lo - ks.start]
+            reached = z | (k >= shift)
+            nan = np.isnan(value)
+            slots.append(_SlotTable(
+                term.reshape(-1), reached & ~nan & (value != 0),
+                (k - shift)[:, :, None], value[:, :, None],
+                (k < radix - bound) & (~z | (k >= bound)), reached & nan,
+                k + lo, self.strides[s]))
+        self._compiled(t.operator, t.scalar, slots)
 
     def encode(self, *vectors: SparseVector) -> tuple[np.ndarray, np.ndarray]:
         """The frontier element of a stack of vectors inside the window."""
@@ -244,97 +525,89 @@ class ModuleKernel:
                 amps.append(amp)
         return np.array(keys, dtype=np.int64), np.array(amps, dtype=complex)
 
-    def _digits(self, keys: np.ndarray) -> list[np.ndarray]:
-        return [keys // stride % radix
-                for stride, radix in zip(self.strides, self.radices)]
 
-    def indices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The probe and the basis index (one row each) of stacked keys."""
-        digits = np.array(self._digits(keys), dtype=np.int64)
-        return (keys // self.size,
-                digits.reshape(len(self.radices), len(keys)).T
-                + np.array(self.lows, dtype=np.int64))
-
-    def batches(self, frontier):
-        """Yield the images of every frontier element under every
-        generator, in (element, generator) order, one batch per block."""
-        block, entries = [], 0
-        for x in frontier:
-            if block and entries + len(x[0]) > self._block_entries:
-                yield self._expand_block(block)
-                block, entries = [], 0
-            block.append(x)
-            entries += len(x[0])
-        if block:
-            yield self._expand_block(block)
-
-    def _expand_block(self, block):
-        t = self.table
-        keys = np.concatenate([k for k, _ in block])
-        amps = np.concatenate([a for _, a in block])
-        owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
-        digits = self._digits(keys)
-        for k, radix, d, z in zip(digits, self.radices, self.shift_bounds,
-                                  self.circle):
-            if (k >= radix - d).any() or (z and (k < d).any()):
-                raise ValueError("a frontier index has images outside the "
-                                 "window; expand only words of length < "
-                                 "r_max")
-        columns = [k + off if off else k
-                   for k, off in zip(digits, self._columns)]
-        # (entry, combination) cells whose target index exists on every
-        # slot; on a Z slot every target exists
-        live = np.ones((len(keys), len(t.scalar)), dtype=bool)
-        for s, (k, col, z) in enumerate(zip(digits, columns, self.circle)):
-            reached = True if z else k[:, None] >= t.shift[:, s]
-            # apply_operator evaluates every coefficient whose slot target
-            # exists, so a NaN there is a domain error
-            if self._has_nan and np.isnan(
-                    t.coefficients[t.term[:, s], col[:, None]][reached]).any():
-                raise qo.QDomainError(
-                    f"negative radicand exponent on slot {s} in the window")
-            live &= reached
-        e, c = np.nonzero(live)
-        # products in apply_operator's order, in real arithmetic, which
-        # rounds as Python's complex product does; as in apply_index, a path
-        # through a vanishing coefficient adds nothing
-        a_re, a_im, s_re, s_im = (amps.real[e], amps.imag[e],
-                                  t.scalar.real[c], t.scalar.imag[c])
-        re, im = a_re * s_re - a_im * s_im, a_re * s_im + a_im * s_re
-        nonzero = np.ones(len(e), dtype=bool)
-        for s, col in enumerate(columns):
-            rows, cols = t.term[c, s], col[e]
-            c_re = t.coefficients.real[rows, cols]
-            c_im = t.coefficients.imag[rows, cols]
-            nonzero &= (c_re != 0) | (c_im != 0)
-            re, im = re * c_re - im * c_im, re * c_im + im * c_re
-        e, c, re, im = e[nonzero], c[nonzero], re[nonzero], im[nonzero]
-        # scatter-add per (candidate, probe, target), each target's terms in
-        # input order like a dict; key order is index order within an image,
-        # as apply_operator returns it; the probe offset rides in the keys
-        stack = self.probes * self.size
-        cand = owner[e] * self.n_gens + t.operator[c]
-        uniq, inv = np.unique(cand * stack + keys[e] - self._shift_key[c],
-                              return_inverse=True)
-        sums = np.bincount(inv, weights=re, minlength=len(uniq)) + 0j
-        sums.imag = np.bincount(inv, weights=im, minlength=len(uniq))
-        # only exact zeros go, as in apply_operator
-        keep = sums != 0
-        uniq, sums = uniq[keep], sums[keep]
-        bounds = np.searchsorted(
-            uniq, np.arange(len(block) * self.n_gens + 1) * stack)
-        return bounds, uniq % stack, sums
+def _slot_closure(factors: list[qo.WeightedShiftSum], q: float, r_max: int):
+    """The slot keys that words of r_max factors reach from the identity's
+    (0, 0, ()), sorted, and each factor's outputs on the keys that shorter
+    words reach."""
+    seen, level, outputs = {(0, 0, ())}, {(0, 0, ())}, {}
+    for _ in range(r_max):
+        for key in level:
+            outputs[key] = [qo.slot_monomials(f, key, q) for f in factors]
+        level = {out for key in level for images in outputs[key]
+                 for out, _ in images} - seen
+        seen |= level
+    return sorted(seen), outputs
 
 
-def _kernel_span_series(kernel: ModuleKernel, start, r_max: int,
-                        basis_cap: int, context: dict) -> GrowthSeries:
-    """_span_series of the frontier element start on the kernel."""
-    # imported on first use: runs without a kernel series never compile it
-    from .elimination import WeightEchelon
-    keys, amps = start
-    return _span_series((np.array([0, len(keys)]), keys, amps),
-                        kernel.batches, WeightEchelon(kernel, start).independent,
-                        r_max, basis_cap, context)
+class MonomialKernel(_SlotKernel):
+    """Operator words at fixed q as monomial expansions, compiled for the
+    structural span series and the witness walk.
+
+    An element is the expansion of a word over monomial_decomposition's keys;
+    the digit of a slot key (shift, q-slope, radicals) is its rank among the
+    sorted slot keys that r_max factors reach, so code order is the tuple
+    order of the keys.  A combination is one summand of a generator and its
+    slot terms are the summand's factors, each with the outputs of
+    slot_monomials; the torus index of a slot key is its shift, which adds
+    up like a module index.  Each image equals monomial_decomposition(g, q,
+    x) of the element x it expands: the same entries, in the order their
+    keys first appear, with the same values bit for bit.
+    """
+
+    first_seen_order = True
+
+    def __init__(self, gens: list[TensorOperator], q: float, r_max: int):
+        factors = [{} for _ in gens[0].signature]
+        operator, scalar, terms = [], [], []
+        for g, op in enumerate(gens):
+            for z, fs in op.summands:
+                operator.append(g)
+                scalar.append(z)
+                terms.append([ids.setdefault(f, len(ids))
+                              for ids, f in zip(factors, fs)])
+        closures = [_slot_closure(list(ids), q, r_max) for ids in factors]
+        super().__init__(gens, [len(keys) for keys, _ in closures],
+                         len(operator), 1)
+        self.slot_keys = [keys for keys, _ in closures]
+        self._digit = [{key: k for k, key in enumerate(keys)}
+                       for keys in self.slot_keys]
+        slots = []
+        for s, ((keys, outputs), digit) in enumerate(zip(closures,
+                                                         self._digit)):
+            width = max([len(images) for found in outputs.values()
+                         for images in found] + [1])
+            shape = (len(factors[s]), len(keys))
+            count = np.zeros(shape, dtype=np.int64)
+            target = np.zeros(shape + (width,), dtype=np.int64)
+            value = np.zeros(shape + (width,), dtype=complex)
+            for key, found in outputs.items():
+                for t, images in enumerate(found):
+                    count[t, digit[key]] = len(images)
+                    for j, (out, v) in enumerate(images):
+                        target[t, digit[key], j] = digit[out]
+                        value[t, digit[key], j] = v
+            slots.append(_SlotTable(
+                [row[s] for row in terms], count, target, value,
+                np.array([key in outputs for key in keys]), None,
+                [key[0] for key in keys], self.strides[s]))
+        self._compiled(operator, scalar, slots)
+        # the identity's expansion
+        self.start = self.encode({((0, 0, ()),) * len(slots): 1.0 + 0j})
+
+    def encode(self, expansion: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The frontier element of an expansion over reached slot keys,
+        entries in the expansion's order."""
+        codes = [np.zeros(len(expansion), dtype=np.int64)
+                 for _ in self._codes_per_group]
+        for i, key in enumerate(expansion):
+            if not all(k in digit for k, digit in zip(key, self._digit)):
+                raise ValueError(f"monomial {key} is outside the window")
+            for k, digit, g, stride in zip(key, self._digit, self._group,
+                                           self.strides):
+                codes[g][i] += digit[k] * stride
+        return (self._key(codes),
+                np.array(list(expansion.values()), dtype=complex))
 
 
 def _module_series(spec: RepSpec, r_max: int, q: float, basis_cap: int
@@ -342,7 +615,7 @@ def _module_series(spec: RepSpec, r_max: int, q: float, basis_cap: int
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     kernel = ModuleKernel(module_generators(repsoq.rep_table(spec)), q, r_max)
-    return kernel, _kernel_span_series(
+    return kernel, _span_series(
         kernel, kernel.encode(qo.vacuum(kernel.signature)), r_max, basis_cap,
         {"kind": "module", "n": spec.n, "word": list(spec.word)})
 
@@ -377,7 +650,7 @@ def exponent_estimate(series: GrowthSeries) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# witness letters: one pattern walk, one verifier
+# witness letters: one pattern enumeration, one verifier
 # ---------------------------------------------------------------------------
 
 # A witness letter (operator, slot, step) moves the index of one tensor slot
@@ -432,23 +705,22 @@ def _compositions(slots: int, total: int):
             yield (v,) + rest
 
 
-def _witness_walk(letters: list[Letter], signature: tuple[str, ...],
-                  budget: int, start, act):
-    """Yield (exponents, predicted index, value) for every exponent pattern
-    of total <= budget whose predicted index is >= 0 on every N slot, totals
-    ascending, lexicographic within a total.
+def _witness_levels(letters: list[Letter], signature: tuple[str, ...],
+                    budget: int):
+    """Yield, for each total from 1 to budget, the exponent patterns of that
+    total whose predicted index is >= 0 on every N slot, lexicographic, as
+    (exponents, predicted index, parent, letter).
 
     Letter e acts exponents[e] times, letters in order, and adds step times
-    its exponent to the predicted index of its slot.  The empty pattern's
-    value is start; any other is act(op, value of its parent), the pattern
-    with one use fewer of its last letter, whose operator is op.  A parent
-    is admissible when each lowering letter follows its slot's raising
-    letter; a missing one raises ValueError.
+    its exponent to the predicted index of its slot.  The parent is the
+    position, among the previous total's patterns (the empty pattern at
+    total 0), of the pattern with one use fewer of its last letter, which
+    is `letter`.  A parent is admissible when each lowering letter follows
+    its slot's raising letter; a missing one raises ValueError.
     """
-    previous = {(0,) * len(letters): start}
-    yield (0,) * len(letters), (0,) * len(signature), start
+    previous = {(0,) * len(letters): 0}
     for total in range(1, budget + 1):
-        current = {}
+        current, level = {}, []
         for exps in _compositions(len(letters), total):
             index = [0] * len(signature)
             for (_, slot, step), e in zip(letters, exps):
@@ -460,9 +732,10 @@ def _witness_walk(letters: list[Letter], signature: tuple[str, ...],
             if parent not in previous:
                 raise ValueError(f"witness pattern {exps} has no "
                                  f"admissible parent {parent}")
-            current[exps] = act(letters[last][0], previous[parent])
-            yield exps, tuple(index), current[exps]
+            current[exps] = len(level)
+            level.append((exps, tuple(index), previous[parent], last))
         previous = current
+        yield level
 
 
 def _lifted(vec: SparseVector) -> SparseVector:
@@ -483,16 +756,18 @@ def verify_witnesses(letters: list[Letter], signature: tuple[str, ...],
     predicted basis vector: the image's support is that one index, with no
     other entry however small, on images _lifted so that none underflows.
     A failure records the image's indices."""
-    report = {"patterns": 0, "failures": []}
-    for exps, index, vec in _witness_walk(
-            letters, signature, budget, qo.vacuum(signature),
-            lambda op, v: _lifted(qo.apply_operator(op, v, q))):
-        report["patterns"] += 1
-        if list(vec.entries) != [index]:
-            report["failures"].append({"exponents": exps, "index": index,
-                                       "support": list(vec.entries)})
-    report["ok"] = not report["failures"]
-    return report
+    values = [qo.vacuum(signature)]
+    landed = [((0,) * len(letters), (0,) * len(signature),
+               list(values[0].entries))]
+    for level in _witness_levels(letters, signature, budget):
+        values = [_lifted(qo.apply_operator(letters[last][0], values[parent],
+                                            q))
+                  for _, _, parent, last in level]
+        landed += [(exps, index, list(vec.entries))
+                   for (exps, index, _, _), vec in zip(level, values)]
+    failures = [{"exponents": exps, "index": index, "support": support}
+                for exps, index, support in landed if support != [index]]
+    return {"patterns": len(landed), "failures": failures, "ok": not failures}
 
 
 @dataclass
@@ -668,8 +943,8 @@ def _probe_rank_series(gens: list[TensorOperator], q: float, r_max: int,
         p for t in range(probe_cutoff + 1) for p in _compositions(len(sig), t))]
     kernel = ModuleKernel(gens, q, r_max, reach=probe_cutoff,
                           probes=len(probes))
-    return _kernel_span_series(kernel, kernel.encode(*probes), r_max,
-                               basis_cap, context).values
+    return _span_series(kernel, kernel.encode(*probes), r_max, basis_cap,
+                        context).values
 
 
 def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
@@ -677,20 +952,19 @@ def algebra_growth(n: int, m: int, w: SignedPermutation, r_max: int, q: float,
                    ) -> GrowthSeries:
     """Rank series of the span of operator words of length <= r.
 
-    The rank is computed exactly from the structural monomial expansion of
-    each word, expanded from its parent's, one letter shorter, without
-    composing operators.  The rank of the words' action on the probe
-    vectors with index sum <= probe_cutoff is recorded as a consistency
-    lower bound; past basis_cap it keeps its completed steps and a flag.
+    The rank is that of the words' structural monomial expansions, each
+    expanded from its parent's, one letter shorter, on a MonomialKernel,
+    without composing operators.  It is a float rank: elimination.REL_TOL
+    judges which residuals are noise, so a small q can overcount it.  The
+    rank of the words' action on the probe vectors with index sum <=
+    probe_cutoff is recorded as a consistency lower bound; past basis_cap
+    it keeps its completed steps and a flag.
     """
-    eta = homogeneous_rep(n, m, w)
-    gens = homogeneous_generators(eta, n, m)
+    gens = homogeneous_generators(homogeneous_rep(n, m, w), n, m)
     context = {"kind": "homogeneous", "n": n, "m": m}
-    values = _span_series(
-        [qo.monomial_decomposition(qo.identity_operator(eta.signature), q)],
-        lambda frontier: ([qo.monomial_decomposition(g, q, x) for g in gens]
-                          for x in frontier),
-        Echelon().independent, r_max, basis_cap, context).values
+    kernel = MonomialKernel(gens, q, r_max)
+    values = _span_series(kernel, kernel.start, r_max, basis_cap,
+                          context).values
     try:
         probe_values, flags = _probe_rank_series(
             gens, q, r_max, probe_cutoff, basis_cap, context), []
@@ -742,14 +1016,21 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     letters = homogeneous_witnesses(n, m, w)
     sig = letters[0][0].signature
     probe = dict(series.context["probe_values"])
-    # totals ascend: a total's last pattern sees every pattern up to it
-    ech, lower, rank = Echelon(), {}, {}
-    for count, (exps, _, fp) in enumerate(_witness_walk(
-            letters, sig, r_max,
-            qo.monomial_decomposition(qo.identity_operator(sig), q),
-            lambda op, x: qo.monomial_decomposition(op, q, x)), start=1):
-        ech.add(fp)
-        lower[sum(exps)], rank[sum(exps)] = count, len(ech)
+    # each total's patterns expand from their parents, one letter each;
+    # totals ascend, so a total's rank counts every pattern up to it
+    from .elimination import WeightEchelon
+    kernel = MonomialKernel([op for op, _, _ in letters], q, r_max)
+    elim, values = WeightEchelon(kernel, kernel.start), [kernel.start]
+    list(elim.independent([(np.array([0, 1]), *kernel.start)]))
+    lower, rank = {0: 1}, {0: len(elim)}
+    for total, level in enumerate(_witness_levels(letters, sig, r_max),
+                                  start=1):
+        batches = list(kernel.batches([values[parent] for _, _, parent, _
+                                       in level], [last for *_, last in level]))
+        values = [(keys[a:b], amps[a:b]) for bounds, keys, amps in batches
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        list(elim.independent(batches))
+        lower[total], rank[total] = lower[total - 1] + len(level), len(elim)
 
     def row(r, d):
         upper = algebra_container_bound(n, m, w, r)

@@ -17,27 +17,28 @@ boundary-vanishing shifts exact.
 apply_operator applies an operator symbolically, term by term, and lists
 every nonzero entry of the image in index order: only exact zeros go, so
 an amplitude many decades below the image's largest stays (float noise is
-judged once, by growth.Echelon).  Every evaluation at fixed q goes
+judged once, by elimination.REL_TOL).  Every evaluation at fixed q goes
 through compile_table instead: it expands operators into term
 combinations and evaluates each distinct coefficient once over an index
 range.  The module growth kernel and the window evaluation behind the
 relation checks (window_profiles) both run on it.
 
 The per-slot symbolic calculus is cached for the life of the process,
-because growth series and relation checks take the same few slot factors
-into tens of thousands of tensor products.  Every coefficient constant
-and every canonical summand scalar is stored as a complex without a
-signed zero (z + 0j turns -0.0 into 0.0), so constants that == calls
-equal are the same bits: no -0.0 against 0.0, no int against complex.
+because relation checks take the same few slot factors into tens of
+thousands of tensor products.  Every coefficient constant and every
+canonical summand scalar is stored as a complex without a signed zero
+(z + 0j turns -0.0 into 0.0), so constants that == calls equal are the
+same bits: no -0.0 against 0.0, no int against complex.
 Coefficient and WeightedShiftSum compare, hash and sort by one exact_key,
 the integers and the constant's repr: equal values mean bit-identical
 arithmetic, so typed functools caches keyed on them return what
-recomputing would: slot compose, the per-monomial factor expansions of
-monomial_decomposition, the slot window maxima of window_deviation_bound
-and the factor normalisation of TensorOperator.canonical.  q lies in
-(0, 1), where float == means equal bits.  Cached values are tuples,
-floats and frozen objects.  Both canonical forms merge exactly and drop
-only exact zeros: the symbolic calculus has no tolerance.
+recomputing would: slot compose, the per-monomial factor expansions
+(slot_monomials) of monomial_decomposition and of growth's monomial
+kernel, the slot window maxima of window_deviation_bound and the factor
+normalisation of TensorOperator.canonical.  q lies in (0, 1), where
+float == means equal bits.  Cached values are tuples, floats and frozen
+objects.  Both canonical forms merge exactly and drop only exact zeros:
+the symbolic calculus has no tolerance.
 """
 
 from __future__ import annotations
@@ -646,6 +647,7 @@ def monomial_decomposition(op: TensorOperator, q: float,
     coefficient does, and ranks of expansions equal ranks of operators.
     Expansion is linear, so op o x expands from start key by key and slot
     by slot: operator words expand letter by letter, never composed.
+    growth.MonomialKernel compiles this expansion; this is its reference.
     """
     if start is None:
         start = {((0, 0, ()),) * len(op.signature): 1.0 + 0j}
@@ -655,7 +657,7 @@ def monomial_decomposition(op: TensorOperator, q: float,
             stack: list[tuple[tuple, complex]] = [((), coeff * scalar)]
             for f, slot_key in zip(factors, base):
                 stack = [(key + (slot,), amp * val)
-                         for slot, val in _slot_monomials(f, slot_key, q)
+                         for slot, val in slot_monomials(f, slot_key, q)
                          for key, amp in stack]
             for key, amp in stack:
                 flat[key] = flat.get(key, 0j) + amp
@@ -663,7 +665,7 @@ def monomial_decomposition(op: TensorOperator, q: float,
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _slot_monomials(f: WeightedShiftSum, slot_key: tuple, q: float) -> tuple:
+def slot_monomials(f: WeightedShiftSum, slot_key: tuple, q: float) -> tuple:
     """(shift degree, q-power slope, radicals) keys, with their values, of
     one factor composed with the slot monomial slot_key, terms in order."""
     shift, qa, radicals = slot_key

@@ -5,7 +5,9 @@ time, class by class; Echelon.add, one image at a time over a dict, is the
 reference.  Both take one candidate stream, level by level, and must give
 the same accepted images, in order, and the same stored rows under ==, a
 missing entry counting as 0, whatever the chunk budget: one row per sweep,
-a random one, or a whole level.  At small q both sides still overcount
+a random one, or a whole level.  The streams are module and probe series,
+structural series of monomial expansions, and a witness walk, the last
+two also with interned keys.  At small q both sides still overcount
 (ROADMAP item 1); they must agree there too.
 """
 
@@ -23,32 +25,86 @@ from bqdim.repsoq import RepSpec
 from test_acceptance import MODULE_WORDS
 from test_kernel import BARE
 
+
+class Echelon:
+    """Row echelon over sparse vectors keyed by a canonical index order.
+
+    Pivots are maximal keys under tuple comparison; a candidate whose
+    residual drops below REL_TOL times its own scale is dependent.
+    """
+
+    REL_TOL = elimination.REL_TOL
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec: dict) -> dict | None:
+        """Reduce vec against the pivots; if a residual survives, store it
+        normalised to a leading 1 and return it, else return None."""
+        vec = dict(vec)
+        floor = self.REL_TOL * max((abs(v) for v in vec.values()), default=0.0)
+        while vec:
+            key = max(vec)
+            amp = vec.pop(key)
+            if abs(amp) <= floor:
+                continue
+            pivot = self.pivots.get(key)
+            if pivot is None:
+                vec[key] = amp
+                normal = self.pivots[key] = {k: v / amp for k, v in vec.items()}
+                return normal
+            for k, v in pivot.items():
+                if k == key:
+                    continue
+                nv = vec.get(k, 0j) - amp * v
+                if nv == 0:
+                    vec.pop(k, None)
+                else:
+                    vec[k] = nv
+        return None
+
+    def independent(self, batches):
+        """Yield, in order, the batches' candidates that join the span."""
+        return (vec for batch in batches for vec in batch
+                if self.add(vec) is not None)
+
+
 Q = 0.5
 # one row per sweep, and each level in one sweep
 ONE_ROW, WHOLE = 1, 1 << 40
 BUDGETS = st.just(WHOLE) | st.integers(64, 1 << 16)
 
 
-def _fingerprint(keys, amps) -> dict:
-    return dict(zip(keys.tolist(), amps.tolist()))
+def _tuples(kernel, keys) -> list[tuple]:
+    """Keys as the tuples of their group codes, in the kernel's key order."""
+    return list(zip(*(code.tolist() for code in kernel._codes(keys))))
 
 
-def _reference(kernel, start, r_max):
-    """Echelon.add on the stream of the series from start: per level, the
+def _fingerprint(kernel, keys, amps) -> dict:
+    return dict(zip(_tuples(kernel, keys), amps.tolist()))
+
+
+def _reference(kernel, start, r_max, walk=None):
+    """Echelon.add on the stream of the series from start, or of the walk
+    whose next level's batches walk(r, batches) gives: per level, the
     batches and the images it accepts; and its stored rows."""
-    ech = growth.Echelon()
+    ech = Echelon()
     levels = []
     batches = [(np.array([0, len(start[0])]), *start)]
     for r in range(r_max + 1):
         accepted = []
         for bounds, keys, amps in batches:
             for a, b in zip(bounds[:-1], bounds[1:]):
-                fp = _fingerprint(keys[a:b], amps[a:b])
+                fp = _fingerprint(kernel, keys[a:b], amps[a:b])
                 if fp and ech.add(fp) is not None:
                     accepted.append((keys[a:b], amps[a:b]))
         levels.append((batches, accepted))
         if r < r_max:
-            batches = list(kernel.batches(accepted))
+            batches = list(kernel.batches(accepted) if walk is None
+                           else walk(r, batches))
     return levels, ech.pivots
 
 
@@ -57,7 +113,8 @@ def _rows(elim) -> dict:
     rows = {}
     for start, length in zip(elim._row_start[:elim.rank].tolist(),
                              elim._row_len[:elim.rank].tolist()):
-        keys = elim._keys[elim._col[start:start + length]].tolist()
+        keys = _tuples(elim.kernel,
+                       elim._keys[elim._col[start:start + length]])
         values = (elim._re[start:start + length]
                   + 1j * elim._im[start:start + length]).tolist()
         rows[keys[0]] = dict(zip(keys, values))
@@ -92,10 +149,8 @@ def _module(n, word, r_max, q=Q, torus=None):
 
 
 def _probes(n, m, r_max, cutoff):
-    w = weylb.longest_quotient_element(
-        n, weylb.ParabolicSubset.homogeneous(n, m))
-    gens = growth.homogeneous_generators(growth.homogeneous_rep(n, m, w),
-                                         n, m)
+    gens = growth.homogeneous_generators(
+        growth.homogeneous_rep(n, m, _quotient(n, m)), n, m)
     sig = gens[0].signature
     probes = [qo.basis_vector(sig, p) for p in sorted(
         p for t in range(cutoff + 1)
@@ -103,6 +158,41 @@ def _probes(n, m, r_max, cutoff):
     kernel = growth.ModuleKernel(gens, Q, r_max, reach=cutoff,
                                  probes=len(probes))
     return kernel, kernel.encode(*probes)
+
+
+def _structural(n, m, r_max, q=Q):
+    gens = growth.homogeneous_generators(
+        growth.homogeneous_rep(n, m, _quotient(n, m)), n, m)
+    kernel = growth.MonomialKernel(gens, q, r_max)
+    return kernel, kernel.start
+
+
+def _chained(build, *args):
+    """build(*args) with a monomial kernel whose keys are interned ids of
+    slot groups of at most 64 codes."""
+    with mock.patch.object(growth, "_DENSE_KEYS", 0), \
+            mock.patch.object(growth, "_GROUP_CODES", 64):
+        return build(*args)
+
+
+def _walk(n, m, r_max):
+    """The witness walk's stream: level r + 1 expands every pattern of
+    level r's images, accepted or not, under one letter each."""
+    letters = growth.homogeneous_witnesses(n, m, _quotient(n, m))
+    kernel = growth.MonomialKernel([op for op, _, _ in letters], Q, r_max)
+    levels = list(growth._witness_levels(letters, kernel.signature, r_max))
+
+    def walk(r, batches):
+        values = [(keys[a:b], amps[a:b]) for bounds, keys, amps in batches
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        return kernel.batches([values[parent] for _, _, parent, _
+                               in levels[r]], [last for *_, last in levels[r]])
+    return kernel, kernel.start, walk
+
+
+def _quotient(n, m):
+    return weylb.longest_quotient_element(
+        n, weylb.ParabolicSubset.homogeneous(n, m))
 
 
 def _torus(n):
@@ -123,6 +213,12 @@ CASES = {
     "1212 q=0.1": (lambda: _module(2, (1, 2, 1, 2), 6, q=0.1), 6),
     "121 q=0.05": (lambda: _module(2, (1, 2, 1), 6, q=0.05), 6),
     "12321 q=0.05": (lambda: _module(3, (1, 2, 3, 2, 1), 4, q=0.05), 4),
+    "structural (2,2)": (lambda: _structural(2, 2, 2), 2),
+    "structural (2,1) q=0.3": (lambda: _structural(2, 1, 2, q=0.3), 2),
+    "walk (2,1)": (lambda: _walk(2, 1, 3), 3),
+    "structural (2,1) chained keys": (
+        lambda: _chained(_structural, 2, 1, 2), 2),
+    "walk (2,1) chained keys": (lambda: _chained(_walk, 2, 1, 3), 3),
 }
 
 
@@ -133,8 +229,9 @@ def references():
     def get(case):
         if case not in cache:
             build, r_max = CASES[case]
-            kernel, start = build()
-            cache[case] = kernel, start, _reference(kernel, start, r_max)
+            kernel, start, *walk = build()
+            cache[case] = kernel, start, _reference(kernel, start, r_max,
+                                                    *walk)
         return cache[case]
     return get
 
@@ -199,7 +296,7 @@ def test_an_entry_at_its_floor_is_dropped():
     measures it; numpy's complex abs can read one bit more, and such a z
     is preferred.  Echelon pops z first and drops it, so the start's pivot
     is its entry 1.0."""
-    floor = growth.Echelon.REL_TOL
+    floor = elimination.REL_TOL
     at_floor = np.array([z for z in (cmath.rect(floor, 0.01 * i)
                                      for i in range(1000))
                          if math.hypot(z.real, z.imag) == floor])
@@ -208,5 +305,5 @@ def test_an_entry_at_its_floor_is_dropped():
     start = kernel.encode(qo.SparseVector(
         kernel.signature, {(1, 1): z, (0, 0): 1.0 + 0j}))
     reference = _reference(kernel, start, 2)
-    assert next(iter(reference[1])) == start[0][1]
+    assert next(iter(reference[1])) == (start[0][1],)
     _assert_law(kernel, start, reference, WHOLE)

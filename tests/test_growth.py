@@ -10,6 +10,7 @@ from bqdim.growth import GrowthSeries
 from bqdim.repsoq import RepSpec
 
 from conftest import dense_span_dimension
+from test_elimination import Echelon
 
 Q = 0.5
 
@@ -103,6 +104,20 @@ def test_module_upper_reads_shift_bounds_off_table(word, upper):
     assert [row["upper"] for row in cert.rows] == [upper(r) for r in range(6)]
 
 
+def _witness_walk(letters, signature, budget, start, act):
+    """Yield (exponents, predicted index, value) for the empty pattern and
+    every pattern of growth._witness_levels, totals ascending.  The empty
+    pattern's value is start; any other is act(op, value of its parent),
+    op the operator of its last letter."""
+    values = [start]
+    yield (0,) * len(letters), (0,) * len(signature), start
+    for level in growth._witness_levels(letters, signature, budget):
+        values = [act(letters[last][0], values[parent])
+                  for _, _, parent, last in level]
+        for (exps, index, _, _), value in zip(level, values):
+            yield exps, index, value
+
+
 def _applied(q):
     return lambda op, vec: qo.apply_operator(op, vec, q)
 
@@ -110,7 +125,7 @@ def _applied(q):
 def _landings(letters, budget):
     """The witness images of a module chain, by exponent pattern."""
     sig = ("N",) * len(letters)
-    return {exps: vec for exps, _, vec in growth._witness_walk(
+    return {exps: vec for exps, _, vec in _witness_walk(
         letters, sig, budget, qo.vacuum(sig), _applied(Q))}
 
 
@@ -333,9 +348,9 @@ def test_homogeneous_witness_independence_fingerprints():
     w = weylb.from_word((1,), 1)
     letters = growth.homogeneous_witnesses(1, 1, w)
     sig = growth.homogeneous_rep(1, 1, w).signature
-    ech = growth.Echelon()
+    ech = Echelon()
     added = n_patterns = 0
-    for _, _, op in growth._witness_walk(letters, sig, 3,
+    for _, _, op in _witness_walk(letters, sig, 3,
                                          qo.identity_operator(sig), qo.compose):
         n_patterns += 1
         fp = qo.monomial_decomposition(op, Q)
@@ -373,9 +388,9 @@ def test_witness_walk_equals_words_replayed(case, counts):
     sig = letters[0][0].signature
     budget = len(counts) - 1
     vacuum, ident = qo.vacuum(sig), qo.identity_operator(sig)
-    walked = list(growth._witness_walk(letters, sig, budget, vacuum,
+    walked = list(_witness_walk(letters, sig, budget, vacuum,
                                        _applied(Q)))
-    composed = list(growth._witness_walk(letters, sig, budget, ident,
+    composed = list(_witness_walk(letters, sig, budget, ident,
                                          qo.compose))
     assert [p[:2] for p in walked] == [p[:2] for p in composed]
     assert [sum(sum(p[0]) == t for p in walked) for t in range(budget + 1)] \
@@ -396,7 +411,7 @@ def test_witness_walk_refuses_a_lowering_letter_first():
     # (1, 1) lands on e_0, but its parent (1, 0) lowers the vacuum
     letters = [(qo.elementary_tensor([qo.shift_down()]), 0, -1),
                (qo.elementary_tensor([qo.shift_up()]), 0, 1)]
-    walk = growth._witness_walk(letters, ("N",), 2, qo.vacuum(("N",)),
+    walk = _witness_walk(letters, ("N",), 2, qo.vacuum(("N",)),
                                 _applied(Q))
     with pytest.raises(ValueError, match=r"\(1, 1\)"):
         list(walk)

@@ -1,14 +1,19 @@
-"""The compiled module kernel against symbolic application.
+"""The compiled kernels against symbolic expansion.
 
 growth.ModuleKernel.batches expands a frontier by gather and scatter-add over
 qoperators.compile_table; qoperators.apply_operator is the oracle, entry
 by entry, including amplitudes many decades below an image's largest,
 which both keep (only exact zeros go).  The module
 series runs it on single vectors over N slots, the homogeneous probe series
-on stacks of probe images over Z (circle) and N slots.
+on stacks of probe images over Z (circle) and N slots.  growth.MonomialKernel
+runs the same expansion on monomial expansions of operator words, for the
+structural series and the witness walk; qoperators.monomial_decomposition is
+its oracle, entry for entry, in order and bit for bit, whether its keys
+are dense codes or interned ids of slot-group codes.
 """
 
 import cmath
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,3 +235,126 @@ def test_kernel_encode_checks_the_signature():
     kernel = growth.ModuleKernel(gens, Q, 2)
     with pytest.raises(ValueError, match="signature"):
         kernel.encode(qo.vacuum(("N", "N")))
+
+
+# (n, m, r_max): the (2, 1) generators have 4-term summands, whose radical
+# pairs give slot terms several outputs
+MONOMIAL = [(1, 1, 3), (2, 2, 2), (2, 1, 2)]
+
+
+@pytest.fixture(scope="module")
+def monomial_kernels():
+    """Per (n, m, r_max, q, kind, keys): the operators and their monomial
+    kernel, the homogeneous generators for a series, the witness letters
+    for a walk; keys dense, interned ids of one slot group, or a chain of
+    groups of at most 64 codes."""
+    cache = {}
+
+    def get(case):
+        if case not in cache:
+            n, m, r_max, q, kind, keys = case
+            w = weylb.longest_quotient_element(
+                n, weylb.ParabolicSubset.homogeneous(n, m))
+            if kind == "series":
+                ops = growth.homogeneous_generators(
+                    growth.homogeneous_rep(n, m, w), n, m)
+            else:
+                ops = [op for op, _, _ in growth.homogeneous_witnesses(n, m, w)]
+            with mock.patch.object(growth, "_DENSE_KEYS",
+                                   growth._DENSE_KEYS if keys == "dense"
+                                   else 0), \
+                    mock.patch.object(growth, "_GROUP_CODES",
+                                      growth._GROUP_CODES if keys != "chain"
+                                      else 64):
+                cache[case] = ops, growth.MonomialKernel(ops, q, r_max)
+        return cache[case]
+    return get
+
+
+def _expansions(kernel):
+    """Frontiers of expansions over the slot keys words shorter than r_max
+    reach, amplitudes spanning 20 decades."""
+    key = st.tuples(*(st.sampled_from([k for k, inside in zip(keys, slot.inside)
+                                       if inside])
+                      for keys, slot in zip(kernel.slot_keys, kernel._slots)))
+    amp = st.builds(lambda e, phase: 10.0 ** -e * cmath.exp(1j * phase),
+                    st.sampled_from([0, 6, 13, 20]), st.floats(-3.2, 3.2))
+    return st.lists(st.dictionaries(key, amp, min_size=1, max_size=30),
+                    min_size=1, max_size=3)
+
+
+def _monomials(kernel, keys, amps) -> dict:
+    digits = np.array(kernel._digits(kernel._codes(keys))).T.tolist()
+    return {tuple(slot[d] for slot, d in zip(kernel.slot_keys, row)): a
+            for row, a in zip(digits, amps.tolist())}
+
+
+@pytest.mark.parametrize("case", [(n, m, r_max, q, kind, "dense")
+                                  for n, m, r_max in MONOMIAL
+                                  for q in (0.5, 0.3)
+                                  for kind in ("series", "walk")]
+                         + [(n, m, r_max, Q, kind, keys)
+                            for n, m, r_max in MONOMIAL
+                            for kind in ("series", "walk")
+                            for keys in ("interned", "chain")], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_monomial_kernel_images_equal_monomial_decomposition(
+        monomial_kernels, case, data):
+    """Also with a block's terms summed a short run at a time."""
+    ops, kernel = monomial_kernels(case)
+    q, kind = case[3:5]
+    frontier = data.draw(_expansions(kernel))
+    run = data.draw(st.sampled_from([growth._EXPAND_TERMS, 1, 37]))
+    if kind == "series":
+        pairs = [(x, g) for x in frontier for g in range(len(ops))]
+        batches = kernel.batches([kernel.encode(x) for x in frontier])
+    else:
+        pairs = [(x, data.draw(st.integers(0, len(ops) - 1)))
+                 for x in frontier]
+        batches = kernel.batches([kernel.encode(x) for x, _ in pairs],
+                                 [g for _, g in pairs])
+    with mock.patch.object(growth, "_EXPAND_TERMS", run):
+        images = [(keys[a:b], amps[a:b]) for bounds, keys, amps in batches
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+    assert len(images) == len(pairs)
+    for (x, g), (keys, amps) in zip(pairs, images):
+        # the same entries in the same order, equal under ==
+        assert list(_monomials(kernel, keys, amps).items()) == \
+            list(qo.monomial_decomposition(ops[g], q, x).items())
+
+
+def test_monomial_kernel_refuses_keys_outside_the_window():
+    w = weylb.longest_quotient_element(1, weylb.ParabolicSubset.homogeneous(1, 1))
+    gens = growth.homogeneous_generators(growth.homogeneous_rep(1, 1, w), 1, 1)
+    kernel = growth.MonomialKernel(gens, Q, 1)
+    with pytest.raises(ValueError, match="window"):
+        kernel.encode({((5, 0, ()), (0, 0, ())): 1.0 + 0j})
+    # the start's images are reached by one letter and expand no further
+    [(bounds, keys, amps)] = kernel.batches([kernel.start])
+    with pytest.raises(ValueError, match="window"):
+        list(kernel.batches([(keys[bounds[1]:bounds[2]],
+                              amps[bounds[1]:bounds[2]])]))
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (4, 1)])
+def test_monomial_kernels_past_int64_intern_their_keys(n, m):
+    """At r_max = 2 the slot keys of the (4, 2) and (4, 1) generators span
+    1.2e17 and 8.9e18 keys, past dense int64 block keys (their witness
+    letters span 5.2e22 and 9.7e24); the kernels intern the keys they
+    reach, and the identity expands under every generator, or under one
+    letter each, to monomial_decomposition."""
+    w = weylb.longest_quotient_element(n, weylb.ParabolicSubset.homogeneous(n, m))
+    gens = growth.homogeneous_generators(growth.homogeneous_rep(n, m, w), n, m)
+    kernel = growth.MonomialKernel(gens, Q, 2)
+    assert not kernel.dense
+    x = {((0, 0, ()),) * len(kernel.radices): 1.0 + 0j}
+    want = [qo.monomial_decomposition(g, Q, x) for g in gens]
+    assert [_monomials(kernel, *image)
+            for image in _images(kernel, [kernel.start])] == want
+    letters = [0, len(gens) - 1, 1]
+    walked = [(keys[a:b], amps[a:b]) for bounds, keys, amps
+              in kernel.batches([kernel.start] * 3, letters)
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    assert [_monomials(kernel, *image) for image in walked] == \
+        [want[g] for g in letters]

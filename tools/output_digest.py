@@ -5,11 +5,12 @@
 Runs every job through ``bqdim.cli.main`` in this one process, importing
 ``bqdim`` from ``CHECKOUT/src`` (default: the checkout holding this file),
 and prints ``<sha256> <job id>`` per job.  The hash covers the exit code,
-stdout, stderr and, for the ``--csv`` job, the file written.  The jobs are
-every certbench job at seeds 0 and 1, read from this checkout's
-``certbench/workloads.py``, and the edge jobs below, so two checkouts are
-compared on one job list: diff their digests to see which jobs changed
-output.
+stdout, stderr and, for the ``--csv`` job, the file written.  Each job's
+wall seconds go to stderr as ``<seconds> <job id>``, so stdout stays
+comparable between machines.  The jobs are every certbench job at seeds 0
+and 1, read from this checkout's ``certbench/workloads.py``, and the edge
+jobs below, so two checkouts are compared on one job list: diff their
+digests to see which jobs changed output.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import importlib
 import io
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +79,9 @@ EDGE_JOBS = (
                               "--rmax", "2", "--q", "0.3")),
     ("homogeneous:2:2:q0.3", ("gkdim", "homogeneous", "--n", "2", "--m", "2",
                               "--rmax", "3", "--q", "0.3")),
+    # 4-term generators at rank 2, r = 3
+    ("homogeneous:2:1:r3", ("gkdim", "homogeneous", "--n", "2", "--m", "1",
+                            "--rmax", "3", "--probe", "0")),
     # the probe series passes the cap while d(2) = 345 fits under it
     ("homogeneous:2:1:q0.05:cap348", ("gkdim", "homogeneous", "--n", "2",
                                       "--m", "1", "--rmax", "2", "--q", "0.05",
@@ -164,11 +169,20 @@ def main(argv=None) -> int:
     growth = importlib.import_module("bqdim.growth")
     with tempfile.TemporaryDirectory() as tmp:
         for job_id, job_argv in certbench_jobs() + list(EDGE_JOBS):
-            print(digest(cli, job_argv, Path(tmp)), job_id, flush=True)
+            timed(job_id, lambda: digest(cli, job_argv, Path(tmp)))
         job_id, job_argv = SHIFTED_WITNESS_JOB
         with shifted_witness(growth):
-            print(digest(cli, job_argv, Path(tmp)), job_id, flush=True)
+            timed(job_id, lambda: digest(cli, job_argv, Path(tmp)))
     return 0
+
+
+def timed(job_id: str, run) -> None:
+    """Print run()'s digest with the job id, and its wall seconds to
+    stderr."""
+    start = time.perf_counter()
+    print(run(), job_id, flush=True)
+    print(f"{time.perf_counter() - start:.2f} {job_id}", file=sys.stderr,
+          flush=True)
 
 
 if __name__ == "__main__":
