@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .growth import _groups
+from .growth import _groups, _Ids, _ranges
 
 # a candidate's residual entry at or below REL_TOL times its largest
 # initial |entry| is noise
@@ -52,13 +52,6 @@ def _annihilator(vectors: list[tuple[int, ...]], dim: int) -> np.ndarray:
     return np.array(basis, dtype=np.int64).reshape(len(basis), dim)
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of range(s, s + n) over starts and lengths."""
-    ends = np.cumsum(lengths)
-    total = ends[-1] if len(ends) else 0
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
-
-
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
     """a, or a zero-padded copy at least twice as long, holding size."""
     if size <= len(a):
@@ -89,9 +82,9 @@ class WeightEchelon:
     its annihilator, every stacked image of a word lies in one weight class
     P (k - s_i), s_i a support point of probe i.  A pivot row lies in the
     class of the image that made it, so classes never meet.  Keys get an id
-    on first sight; the layout lists each class's known keys in descending
-    order (kernel.sort_keys), the order in which the reference takes them,
-    and grows with each chunk.
+    on first sight, from the growth kernels' _Ids; the layout lists each
+    class's known keys in descending order (kernel.sort_keys), the order in
+    which the reference takes them, and grows with each chunk.
 
     A chunk is swept in dense rows over the columns of their classes, all
     rows at one column at a time.  A row whose entry there is at or below
@@ -115,10 +108,10 @@ class WeightEchelon:
         self._projection = _annihilator(
             sorted(set(map(tuple, lattice.tolist()))), len(kernel.radices))
         self.rank = 0
-        # class numbers by weight, in order of first sight; per key id: the
-        # key, its class and its pivot row, -1 for none
+        # class numbers by weight, in order of first sight; the ids of the
+        # keys seen; per key id: its class and its pivot row, -1 for none
         self._classes = {}
-        self._keys = np.zeros(0, dtype=np.int64)
+        self._ids = _Ids()
         self._class = np.zeros(0, dtype=np.int32)
         self._pivot = np.zeros(0, dtype=np.int64)
         self._layout()
@@ -151,9 +144,8 @@ class WeightEchelon:
         """The sweep cells of a batch's images, as far as the layout knows
         their classes, and at least their entries."""
         bounds, keys, _ = batch
-        lead = keys[bounds[:-1][bounds[:-1] < bounds[1:]]]
-        at, seen = self._find(lead)
-        width = self._class_width[self._class[self._lookup[at[seen]]]]
+        ids = self._ids.find(keys[bounds[:-1][bounds[:-1] < bounds[1:]]])
+        width = self._class_width[self._class[ids[ids >= 0]]]
         return max(len(keys), int(width.sum()))
 
     def _classify(self, keys: np.ndarray) -> np.ndarray:
@@ -167,37 +159,26 @@ class WeightEchelon:
     def _layout(self):
         """The column of every known key: its rank in its class, in
         descending key order; classes lie in class order."""
-        n = len(self._keys)
-        self._ids = np.lexsort((-self.kernel.sort_keys(self._keys),
-                                self._class))
+        n = len(self._class)
+        self._id_at = np.lexsort((-self.kernel.sort_keys(self._ids.codes),
+                                  self._class))
         self._class_width = np.bincount(self._class,
                                         minlength=len(self._classes))
         self._class_start = np.cumsum(self._class_width) - self._class_width
         self._column = np.empty(n, dtype=np.int32)
-        self._column[self._ids] = (np.arange(n)
-                                   - self._class_start[self._class[self._ids]])
-        self._lookup = np.argsort(self._keys).astype(np.int32)
-        self._sorted = self._keys[self._lookup]
-
-    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where keys sort among the known keys, and which are known."""
-        at = np.searchsorted(self._sorted, keys)
-        seen = at < len(self._sorted)
-        seen[seen] = self._sorted[at[seen]] == keys[seen]
-        return at, seen
+        self._column[self._id_at] = (
+            np.arange(n) - self._class_start[self._class[self._id_at]])
 
     def _identify(self, keys: np.ndarray) -> np.ndarray:
         """The ids of keys; unseen keys get new ids and the layout grows."""
-        at, seen = self._find(keys)
-        if not seen.all():
-            fresh = np.unique(keys[~seen], return_inverse=True)[0]
-            self._keys = np.concatenate([self._keys, fresh])
+        ids = self._ids(keys)
+        fresh = self._ids.codes[len(self._class):]
+        if len(fresh):
             self._class = np.concatenate([self._class, self._classify(fresh)])
             self._pivot = np.concatenate(
                 [self._pivot, np.full(len(fresh), -1, dtype=np.int64)])
             self._layout()
-            at = np.searchsorted(self._sorted, keys)
-        return self._lookup[at]
+        return ids
 
     def _reduce(self, chunk):
         """Reduce the images of a chunk of batches, a sweep at a time, and
@@ -225,7 +206,7 @@ class WeightEchelon:
                                    ids[a:b], amps[a:b])
             for c in sweep[accepted]:
                 a, b = bounds[c], bounds[c + 1]
-                yield self._keys[ids[a:b]], amps[a:b].copy()
+                yield self._ids.codes[ids[a:b]], amps[a:b].copy()
 
     def _sweep(self, cls, floor, lengths, ids, amps) -> np.ndarray:
         """Which rows join the span, the rows in candidate order."""
@@ -256,7 +237,7 @@ class WeightEchelon:
             a_re, a_im = re[a:b], im[a:b]
             hit = np.flatnonzero(np.hypot(a_re, a_im) > floor[:b - a])
             if len(hit):
-                key = self._ids[lead[hit] + t]
+                key = self._id_at[lead[hit] + t]
                 pivot = self._pivot[key]
                 fresh = np.flatnonzero(pivot < 0)
                 if len(fresh):
@@ -299,7 +280,7 @@ class WeightEchelon:
         used = self._used + len(owner)
         self._col, self._re, self._im = (_grown(a, used) for a in
                                          (self._col, self._re, self._im))
-        self._col[self._used:used] = self._ids[lead[owner] + column]
+        self._col[self._used:used] = self._id_at[lead[owner] + column]
         self._re[self._used:used] = n_re
         self._im[self._used:used] = n_im
         counts = np.bincount(owner, minlength=len(rows))

@@ -5,10 +5,12 @@ generator acts on the newest basis elements of the span of words applied
 to a start element, and the results are rank-reduced with a canonical
 pivot order.  The generators are compiled once per run at fixed q into
 per-slot transition tables over integer slot digits, and one routine
-expands a block of frontier elements by gather and scatter-add.  A key
-packs its slot digits in mixed radix where block keys of the whole index
-space fit int64; past that (monomial kernels from rank 4 on) it is an
-interned id of the packed digits of slot groups.  Module
+expands a block of frontier elements by gather and scatter-add, each
+image's keys ascending.  A key packs its slot digits in mixed radix where
+block keys of the whole index space fit int64; past that (as for the
+(4, 2) and (4, 1) series at r_max = 2, and the witness walks of (4, 3)
+at r_max = 2 and (3, 1) at r_max = 3) it is an interned id of the packed
+digits of slot groups.  Module
 growth runs it on vectors from the vacuum (ModuleKernel): a slot term is
 one term of a factor, with one output, its coefficient evaluated once per
 index; the images carry the rounding, the index order and the exact-zero
@@ -141,6 +143,13 @@ _GROUP_CODES = 1 << 32
 _IDS = 1 << 31
 
 
+def _ranges(starts: np.ndarray | int, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + n) over starts and lengths."""
+    ends = np.cumsum(lengths)
+    total = ends[-1] if len(ends) else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
 def _groups(sizes: np.ndarray, limit: int):
     """Yield (start, stop) of consecutive runs of sizes that sum to at most
     limit, or hold one item."""
@@ -162,12 +171,21 @@ class _Ids:
         self._sorted = np.zeros(0, dtype=np.int64)
         self._order = np.zeros(0, dtype=np.int64)
 
-    def __call__(self, codes: np.ndarray) -> np.ndarray:
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """The ids of codes, -1 for a code never seen; interns nothing."""
         at = np.searchsorted(self._sorted, codes)
         seen = at < len(self._sorted)
         seen[seen] = self._sorted[at[seen]] == codes[seen]
-        if not seen.all():
-            fresh = np.unique(codes[~seen])
+        ids = np.full(len(codes), -1, dtype=np.int64)
+        ids[seen] = self._order[at[seen]]
+        return ids
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        """The ids of codes, new ones interned."""
+        ids = self.find(codes)
+        unseen = ids < 0
+        if unseen.any():
+            fresh = np.unique(codes[unseen], return_inverse=True)[0]
             n = len(self.codes)
             if n + len(fresh) > _IDS:
                 raise ValueError(f"more than {_IDS} interned keys are too "
@@ -177,8 +195,9 @@ class _Ids:
             self._sorted = np.insert(self._sorted, at, fresh)
             self._order = np.insert(self._order, at,
                                     np.arange(n, n + len(fresh)))
-            at = np.searchsorted(self._sorted, codes)
-        return self._order[at]
+            ids[unseen] = self._order[np.searchsorted(self._sorted,
+                                                      codes[unseen])]
+        return ids
 
 
 class _SlotTable:
@@ -235,10 +254,10 @@ class _SlotKernel:
     scalar[c], then times the outputs' values in slot order.  batches
     expands a block of elements at once by gather and scatter-add and
     returns the block's images as one batch (bounds, keys, amplitudes),
-    image i being keys[bounds[i]:bounds[i+1]]; elimination.WeightEchelon
-    reduces them batch by batch.  Each target sums its terms in (entry,
-    combination, output) order, as a dict would, and only exact zeros are
-    dropped.
+    image i being keys[bounds[i]:bounds[i+1]], keys ascending;
+    elimination.WeightEchelon reduces them batch by batch.  Each target
+    sums its terms in (entry, combination, output) order, as a dict would,
+    and only exact zeros are dropped.
     """
 
     def __init__(self, gens: list[TensorOperator], radices: list[int],
@@ -324,25 +343,25 @@ class _SlotKernel:
         """Yield the images of every frontier element under every generator,
         in (element, generator) order, one batch per block; with letters
         (a walk), element i goes under generator letters[i] alone."""
-        if letters is None:
-            width = np.full(len(frontier), len(self.operator))
-        else:
-            letters = np.asarray(letters, dtype=np.int64)
-            width = self._first[letters + 1] - self._first[letters]
+        lo = (np.zeros(len(frontier), dtype=np.int64) if letters is None
+              else np.asarray(letters, dtype=np.int64))
+        hi = lo + (self.n_gens if letters is None else 1)
+        width = self._first[hi] - self._first[lo]
         start, cells = 0, 0
         for i, x in enumerate(frontier):
             cost = max(1, len(x[0])) * int(width[i])
             if i > start and (cells + cost > _BLOCK_CELLS
                               or i - start == self._block_elements):
-                yield self._expand_block(frontier[start:i], letters, start)
+                yield self._expand_block(frontier[start:i], lo[start:i],
+                                         hi[start:i])
                 start, cells = i, 0
             cells += cost
         if start < len(frontier):
-            yield self._expand_block(frontier[start:], letters, start)
+            yield self._expand_block(frontier[start:], lo[start:], hi[start:])
 
-    def _expand_block(self, block, letters, at: int):
-        """The images of the block, whose letters, in a walk, start at
-        letters[at]."""
+    def _expand_block(self, block, lo: np.ndarray, hi: np.ndarray):
+        """The images of the block, element i under generators lo[i] up to
+        hi[i], each image's keys ascending."""
         keys = np.concatenate([k for k, _ in block])
         amps = np.concatenate([a for _, a in block])
         owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
@@ -352,20 +371,13 @@ class _SlotKernel:
                    for slot, k in zip(self._slots, digits)):
             raise ValueError("a frontier index has images outside the "
                              "window; expand only words of length < r_max")
-        # (entry, combination) pairs, entry-major: every combination, or in
-        # a walk the combinations of the entry's letter
-        if letters is None:
-            cells = [(slot.offset[None, :] + k[:, None]).ravel()
-                     for slot, k in zip(self._slots, digits)]
-        else:
-            g = letters[at + owner]
-            lo, n = self._first[g], self._first[g + 1] - self._first[g]
-            e = np.repeat(np.arange(len(keys)), n)
-            c = np.arange(len(e)) + np.repeat(lo + n - np.cumsum(n), n)
-            cells = [slot.offset[c] + k[e]
-                     for slot, k in zip(self._slots, digits)]
-        live = np.ones(len(keys) * len(self.operator) if letters is None
-                       else len(e), dtype=bool)
+        # (entry, combination) pairs, entry-major: the combinations of the
+        # entry's generators
+        n = (self._first[hi] - self._first[lo])[owner]
+        e = np.repeat(np.arange(len(keys)), n)
+        c = _ranges(self._first[lo][owner], n)
+        cells = [slot.offset[c] + k[e] for slot, k in zip(self._slots, digits)]
+        live = np.ones(len(e), dtype=bool)
         for s, (slot, cell) in enumerate(zip(self._slots, cells)):
             # apply_operator evaluates every coefficient whose slot target
             # exists, so a NaN there is a domain error
@@ -373,50 +385,40 @@ class _SlotKernel:
                 raise qo.QDomainError(
                     f"negative radicand exponent on slot {s} in the window")
             live &= slot.count[cell] > 0
-        if letters is None:
-            e, c = np.divmod(np.flatnonzero(live), len(self.operator))
-        else:
-            e, c = e[live], c[live]
+        e, c = e[live], c[live]
         cells = [cell[live] for cell in cells]
         terms = np.ones(len(e), dtype=np.int64)
         for slot, cell in zip(self._slots, cells):
             if slot.width > 1:
                 terms *= slot.count[cell]
+        # element i under generator g is candidate base[i] + g: the
+        # candidates of the elements before it, then g - lo[i]
+        base = np.cumsum(hi - lo) - (hi - lo) - lo
         # scatter-add per (candidate, probe, target), the probe offset
         # riding in the keys; a bounded run of pairs at a time, each run's
         # sums starting from those of the runs before it, so every target
         # sums its terms in (entry, combination, output) order
         stack = self.probes * self._span
-        found = first = np.zeros(0, dtype=np.int64)
-        re_sum, im_sum, done = np.zeros(0), np.zeros(0), 0
+        found = np.zeros(0, dtype=np.int64)
+        re_sum, im_sum = np.zeros(0), np.zeros(0)
         for a, b in _groups(terms, _EXPAND_TERMS):
             re, im, target, pair = self._terms(codes, amps, e[a:b], c[a:b],
                                                [cell[a:b] for cell in cells])
-            cand = owner[e[a:b][pair]]
-            if letters is None:
-                cand = cand * self.n_gens + self.operator[c[a:b][pair]]
-            uniq, *seen, inv = np.unique(
+            cand = base[owner[e[a:b][pair]]] + self.operator[c[a:b][pair]]
+            found, inv = np.unique(
                 np.concatenate([found, cand * stack + self._key(target)]),
-                return_index=self.first_seen_order, return_inverse=True)
+                return_inverse=True)
             re_sum = np.bincount(inv, weights=np.concatenate([re_sum, re]),
-                                 minlength=len(uniq))
+                                 minlength=len(found))
             im_sum = np.bincount(inv, weights=np.concatenate([im_sum, im]),
-                                 minlength=len(uniq))
-            if seen:
-                first = np.concatenate(
-                    [first, done + np.arange(len(re))])[seen[0]]
-            found, done = uniq, done + len(re)
+                                 minlength=len(found))
         sums = re_sum + 0j
         sums.imag = im_sum
         # only exact zeros go
         keep = sums != 0
         found, sums = found[keep], sums[keep]
-        n_cand = len(block) * (self.n_gens if letters is None else 1)
-        bounds = np.searchsorted(found, np.arange(n_cand + 1) * stack)
-        if self.first_seen_order:
-            # each image's keys in the order of their first terms
-            order = np.lexsort((first[keep], found // stack))
-            found, sums = found[order], sums[order]
+        bounds = np.searchsorted(found,
+                                 np.arange(int((hi - lo).sum()) + 1) * stack)
         return bounds, found % stack, sums
 
     def _terms(self, codes, amps, e, c, cells):
@@ -438,9 +440,7 @@ class _SlotKernel:
             else:
                 grown = size * slot.count[cell]
                 new = np.repeat(np.arange(len(grown)), grown)
-                k = np.arange(len(new)) + np.repeat(grown - np.cumsum(grown),
-                                                    grown)
-                j, i = np.divmod(k, size[new])
+                j, i = np.divmod(_ranges(0, grown), size[new])
                 source = np.repeat(np.cumsum(size) - size, grown) + i
                 re, im = re[source], im[source]
                 target = [t[source] for t in target]
@@ -467,8 +467,6 @@ class ModuleKernel(_SlotKernel):
     stacked vectors: the same nonzero entries in index order, rounded the
     same way.
     """
-
-    first_seen_order = False
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
                  reach: int = 0, probes: int = 1):
@@ -551,11 +549,9 @@ class MonomialKernel(_SlotKernel):
     slot terms are the summand's factors, each with the outputs of
     slot_monomials; the torus index of a slot key is its shift, which adds
     up like a module index.  Each image equals monomial_decomposition(g, q,
-    x) of the element x it expands: the same entries, in the order their
-    keys first appear, with the same values bit for bit.
+    x) of the element x it expands: the same entries with the same values
+    bit for bit, both summing in the entry order of x.
     """
-
-    first_seen_order = True
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int):
         factors = [{} for _ in gens[0].signature]

@@ -114,7 +114,7 @@ def _rows(elim) -> dict:
     for start, length in zip(elim._row_start[:elim.rank].tolist(),
                              elim._row_len[:elim.rank].tolist()):
         keys = _tuples(elim.kernel,
-                       elim._keys[elim._col[start:start + length]])
+                       elim._ids.codes[elim._col[start:start + length]])
         values = (elim._re[start:start + length]
                   + 1j * elim._im[start:start + length]).tolist()
         rows[keys[0]] = dict(zip(keys, values))

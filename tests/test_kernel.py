@@ -8,8 +8,8 @@ series runs it on single vectors over N slots, the homogeneous probe series
 on stacks of probe images over Z (circle) and N slots.  growth.MonomialKernel
 runs the same expansion on monomial expansions of operator words, for the
 structural series and the witness walk; qoperators.monomial_decomposition is
-its oracle, entry for entry, in order and bit for bit, whether its keys
-are dense codes or interned ids of slot-group codes.
+its oracle, entry for entry and bit for bit, each image's keys ascending,
+whether its keys are dense codes or interned ids of slot-group codes.
 """
 
 import cmath
@@ -319,9 +319,10 @@ def test_monomial_kernel_images_equal_monomial_decomposition(
                   for a, b in zip(bounds[:-1], bounds[1:])]
     assert len(images) == len(pairs)
     for (x, g), (keys, amps) in zip(pairs, images):
-        # the same entries in the same order, equal under ==
-        assert list(_monomials(kernel, keys, amps).items()) == \
-            list(qo.monomial_decomposition(ops[g], q, x).items())
+        # the same entries, equal under ==, keys ascending
+        assert _monomials(kernel, keys, amps) == \
+            qo.monomial_decomposition(ops[g], q, x)
+        assert (np.diff(keys) > 0).all()
 
 
 def test_monomial_kernel_refuses_keys_outside_the_window():
@@ -358,3 +359,45 @@ def test_monomial_kernels_past_int64_intern_their_keys(n, m):
               for a, b in zip(bounds[:-1], bounds[1:])]
     assert [_monomials(kernel, *image) for image in walked] == \
         [want[g] for g in letters]
+
+
+@pytest.mark.parametrize("n,m,r_max", [(4, 3, 2), (3, 1, 3)])
+def test_witness_walks_past_int64_intern_their_keys(n, m, r_max):
+    """The slot keys of the (4, 3) witness letters at r_max = 2 and of the
+    (3, 1) ones at r_max = 3 span 4.7e17 and 3.2e17 keys, past dense int64
+    block keys, although their series kernels fit; the walk kernels intern
+    the keys they reach.  The walk's first level, and the first patterns of
+    its second, each expanded from its parent under its last letter, equal
+    monomial_decomposition."""
+    w = weylb.longest_quotient_element(n, weylb.ParabolicSubset.homogeneous(n, m))
+    letters = growth.homogeneous_witnesses(n, m, w)
+    kernel = growth.MonomialKernel([op for op, _, _ in letters], Q, r_max)
+    assert not kernel.dense
+    values = [kernel.start]
+    for level in growth._witness_levels(letters, kernel.signature, 2):
+        level = level[:len(letters)]
+        parents = [values[parent] for _, _, parent, _ in level]
+        walked = [(keys[a:b], amps[a:b]) for bounds, keys, amps
+                  in kernel.batches(parents, [last for *_, last in level])
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        assert [_monomials(kernel, *image) for image in walked] == \
+            [qo.monomial_decomposition(letters[last][0], Q,
+                                       _monomials(kernel, *parent))
+             for (*_, last), parent in zip(level, parents)]
+        values = walked
+
+
+def test_ids_number_codes_as_first_seen():
+    """Ids follow first sight, the fresh codes of one call in code order;
+    find interns nothing, and interning past _IDS ids is refused."""
+    ids = growth._Ids()
+    assert ids.find(np.array([3])).tolist() == [-1]
+    assert ids(np.array([30, 10, 30, 20])).tolist() == [2, 0, 2, 1]
+    assert ids(np.array([5, 20, 40])).tolist() == [3, 1, 4]
+    assert ids.find(np.array([40, 7, 10, 99])).tolist() == [4, -1, 0, -1]
+    assert ids.codes.tolist() == [10, 20, 30, 5, 40]
+    with mock.patch.object(growth, "_IDS", 6):
+        assert ids(np.array([1, 40])).tolist() == [5, 4]
+        with pytest.raises(ValueError, match="too many"):
+            ids(np.array([2, 3]))
+    assert ids.codes.tolist() == [10, 20, 30, 5, 40, 1]
