@@ -94,6 +94,14 @@ class WeightEchelon:
     row, multiplied as Python multiplies complex numbers.  Within each
     class these are the reference's float operations in its order, so the
     accepted images and the stored rows are the reference's.
+
+    An image is closed when every column of its class from its first on
+    has a pivot: the reference only visits those columns, subtracts at
+    each, and finds it dependent.  Per class the echelon keeps the column
+    from which all have pivots (set with the layout, walked back after
+    each chunk), and drops closed images unswept; the rest are cut into
+    sweeps widest class first, each class's rows in candidate order, and
+    the accepted ones come out in candidate order.
     """
 
     def __init__(self, kernel, start):
@@ -168,6 +176,12 @@ class WeightEchelon:
         self._column = np.empty(n, dtype=np.int32)
         self._column[self._id_at] = (
             np.arange(n) - self._class_start[self._class[self._id_at]])
+        # per class, the first column from which every column has a pivot:
+        # one past the last key without one, in layout order
+        free = np.flatnonzero(self._pivot[self._id_at] < 0)
+        last = np.concatenate([[-1], free])[np.searchsorted(
+            free, self._class_start + self._class_width)]
+        self._closed = np.maximum(last + 1 - self._class_start, 0)
 
     def _identify(self, keys: np.ndarray) -> np.ndarray:
         """The ids of keys; unseen keys get new ids and the layout grows."""
@@ -199,17 +213,32 @@ class WeightEchelon:
             raise AssertionError("an image spans two weight classes")
         floor = REL_TOL * np.maximum.reduceat(
             np.hypot(amps.real, amps.imag), bounds[rows])
-        for i, j in _groups(self._class_width[cls], _CHUNK_CELLS):
-            sweep = rows[i:j]
-            a, b = bounds[sweep[0]], bounds[sweep[-1] + 1]
-            accepted = self._sweep(cls[i:j], floor[i:j], lengths[sweep],
-                                   ids[a:b], amps[a:b])
-            for c in sweep[accepted]:
-                a, b = bounds[c], bounds[c + 1]
-                yield self._ids.codes[ids[a:b]], amps[a:b].copy()
+        # a closed image is dependent too: every column of its class from
+        # its first on has a pivot; the rest are swept widest class first,
+        # each class's rows in candidate order
+        first = np.minimum.reduceat(self._column[ids], bounds[rows])
+        swept = np.flatnonzero(first < self._closed[cls])
+        swept = swept[np.argsort(-self._class_width[cls[swept]],
+                                 kind="stable")]
+        accepted = np.zeros(len(rows), dtype=bool)
+        for i, j in _groups(self._class_width[cls[swept]], _CHUNK_CELLS):
+            sweep = swept[i:j]
+            accepted[sweep] = self._sweep(cls[sweep], floor[sweep],
+                                          bounds[rows[sweep]],
+                                          lengths[rows[sweep]], ids, amps)
+        # a class that gained pivots closes back over those just before it
+        for c in set(cls[accepted].tolist()):
+            closed, start = int(self._closed[c]), int(self._class_start[c])
+            while closed and self._pivot[self._id_at[start + closed - 1]] >= 0:
+                closed -= 1
+            self._closed[c] = closed
+        for c in rows[accepted]:
+            a, b = bounds[c], bounds[c + 1]
+            yield self._ids.codes[ids[a:b]], amps[a:b].copy()
 
-    def _sweep(self, cls, floor, lengths, ids, amps) -> np.ndarray:
-        """Which rows join the span, the rows in candidate order."""
+    def _sweep(self, cls, floor, heads, lengths, ids, amps) -> np.ndarray:
+        """Which rows join the span, the rows in candidate order, each
+        row's entries at [head, head + length) in ids and amps."""
         width = self._class_width[cls]
         # widest first, so the rows still inside their class at column t
         # are a prefix; the rows of a class together, in candidate order
@@ -222,13 +251,14 @@ class WeightEchelon:
         inside = np.searchsorted(-width, -np.arange(width[0] + 1))
         at = np.cumsum(inside) - inside
         re, im = np.zeros(at[-1]), np.zeros(at[-1])
-        column = self._column[ids]
+        entry = _ranges(heads, lengths)
+        column = self._column[ids[entry]]
         cell = at[column] + np.repeat(where, lengths)
-        re[cell], im[cell] = amps.real, amps.imag
+        re[cell], im[cell] = amps.real[entry], amps.imag[entry]
         # columns where some row may hold an entry, and a stop past the end
         touched = np.zeros(width[0] + 1, dtype=bool)
         touched[column] = touched[-1] = True
-        del column, cell        # not kept through the column loop
+        del entry, column, cell     # not kept through the column loop
         done = np.zeros(len(order), dtype=bool)
         starts, ends = at.tolist(), (at + inside).tolist()
         t = int(touched.argmax())

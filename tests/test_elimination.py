@@ -307,3 +307,52 @@ def test_an_entry_at_its_floor_is_dropped():
     reference = _reference(kernel, start, 2)
     assert next(iter(reference[1])) == (start[0][1],)
     _assert_law(kernel, start, reference, WHOLE)
+
+
+def _closed_from(elim) -> list[int]:
+    """Per class, the first column from which every column has a pivot,
+    walking back from the class's last column."""
+    closed = []
+    for start, width in zip(elim._class_start.tolist(),
+                            elim._class_width.tolist()):
+        while width and elim._pivot[elim._id_at[start + width - 1]] >= 0:
+            width -= 1
+        closed.append(width)
+    return closed
+
+
+def _swept_rows(kernel, start, reference) -> int:
+    """The rows the eliminator sweeps on the reference's stream, checking
+    after every level its images and its closed-from columns."""
+    swept = []
+    real = elimination.WeightEchelon._sweep
+
+    def sweep(self, cls, *args):
+        swept.append(len(cls))
+        return real(self, cls, *args)
+
+    with mock.patch.object(elimination.WeightEchelon, "_sweep", sweep):
+        elim = elimination.WeightEchelon(kernel, start)
+        for batches, accepted in reference[0]:
+            got = list(elim.independent(batches))
+            assert [k.tolist() for k, _ in got] \
+                == [k.tolist() for k, _ in accepted]
+            assert elim._closed.tolist() == _closed_from(elim)
+    return sum(swept)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_closed_from_columns_follow_the_pivots(references, case):
+    kernel, start, reference = references(case)
+    _swept_rows(kernel, start, reference)
+
+
+def test_closed_images_are_not_swept(references):
+    """Most images of a 1212 stream are closed before their sweep starts:
+    the echelon has a pivot on every column of their class from their
+    first on, so they are dropped unswept."""
+    kernel, start, reference = references("module (1, 2, 1, 2) torus")
+    candidates = sum(np.count_nonzero(np.diff(bounds))
+                     for batches, _ in reference[0]
+                     for bounds, _, _ in batches)
+    assert _swept_rows(kernel, start, reference) < candidates

@@ -579,6 +579,19 @@ def test_module_series_at_small_q(n, word, q, dims):
         == dims
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("n,word,q,dims", [
+    (2, (1, 2, 1, 2), 0.1, [1, 9, 38, 110, 255, 511, 924]),
+    (2, (1, 2, 1), 0.05, [1, 5, 14, 30, 55, 91, 140]),
+    (3, (1, 2, 3, 2, 1), 0.05, [1, 7, 27, 77, 182]),
+])
+def test_module_series_at_smaller_q_is_exact(n, word, q, dims):
+    """The true values, those of q = 1/2, where the float rank still
+    counts noise as rank (925; 92, 144; 183)."""
+    assert growth.module_growth(RepSpec(n, word), len(dims) - 1, q).dims() \
+        == dims
+
+
 def test_container_bound_degrees():
     w = weylb.from_word((1,), 1)
     assert growth.algebra_container_bound(1, 1, w, 2) == 125  # (2r+1)^3

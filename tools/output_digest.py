@@ -108,6 +108,9 @@ EDGE_JOBS = (
     ("weyl:3:3:dims", ("weyl", "dims", "--n", "3", "--m", "3")),
     ("module:2:12:r48", ("gkdim", "module", "--n", "2", "--word", "1,2",
                          "--rmax", "48")),
+    # the deepest levels, where most images are closed before their sweep
+    ("module:2:1212:r10", ("gkdim", "module", "--n", "2", "--word", "1,2,1,2",
+                           "--rmax", "10")),
 )
 # the one job run with a broken witness list: a certificate failure, exit 4
 SHIFTED_WITNESS_JOB = ("homogeneous:1:1:shifted-witness",
