@@ -61,8 +61,8 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-# candidate cells (images times their class width) per elimination sweep:
-# bounds the dense rows while keeping the per-column overhead small
+# image entries per chunk, and cells (rows times their class width) per
+# sweep: bound the dense rows while keeping the per-column overhead small
 _CHUNK_CELLS = 1 << 14
 
 
@@ -86,22 +86,23 @@ class WeightEchelon:
     class's known keys in descending order (kernel.sort_keys), the order in
     which the reference takes them, and grows with each chunk.
 
-    A chunk is swept in dense rows over the columns of their classes, all
-    rows at one column at a time.  A row whose entry there is at or below
-    its floor drops it.  Otherwise the first such row of a class without a
-    pivot there becomes the pivot, normalised as Python divides complex
-    numbers, and stops; every other such row subtracts amp times the pivot
-    row, multiplied as Python multiplies complex numbers.  Within each
-    class these are the reference's float operations in its order, so the
-    accepted images and the stored rows are the reference's.
+    Batches join a chunk until it holds _CHUNK_CELLS entries.  It is swept
+    in dense rows over the columns of their classes, all rows at one column
+    at a time.  A row whose entry there is at or below its floor drops it.
+    Otherwise the first such row of a class without a pivot there becomes
+    the pivot, normalised as Python divides complex numbers, and stops;
+    every other such row subtracts amp times the pivot row, multiplied as
+    Python multiplies complex numbers.  Within each class these are the
+    reference's float operations in its order, so the accepted images and
+    the stored rows are the reference's.
 
     An image is closed when every column of its class from its first on
     has a pivot: the reference only visits those columns, subtracts at
     each, and finds it dependent.  Per class the echelon keeps the column
     from which all have pivots (set with the layout, walked back after
-    each chunk), and drops closed images unswept; the rest are cut into
-    sweeps widest class first, each class's rows in candidate order, and
-    the accepted ones come out in candidate order.
+    each chunk), and drops closed images unswept.  The rest are sorted
+    once, widest class first and each class's rows in candidate order,
+    then cut into sweeps; the accepted ones come out in candidate order.
     """
 
     def __init__(self, kernel, start):
@@ -138,23 +139,15 @@ class WeightEchelon:
     def independent(self, batches):
         """Reduce the images of the batches in order against the span and
         yield, in order, the ones that join it."""
-        chunk, cells = [], 0
+        chunk, entries = [], 0
         for batch in batches:
             chunk.append(batch)
-            cells += self._cells(batch)
-            if cells >= _CHUNK_CELLS:
+            entries += len(batch[1])
+            if entries >= _CHUNK_CELLS:
                 yield from self._reduce(chunk)
-                chunk, cells = [], 0
+                chunk, entries = [], 0
         if chunk:
             yield from self._reduce(chunk)
-
-    def _cells(self, batch) -> int:
-        """The sweep cells of a batch's images, as far as the layout knows
-        their classes, and at least their entries."""
-        bounds, keys, _ = batch
-        ids = self._ids.find(keys[bounds[:-1][bounds[:-1] < bounds[1:]]])
-        width = self._class_width[self._class[ids[ids >= 0]]]
-        return max(len(keys), int(width.sum()))
 
     def _classify(self, keys: np.ndarray) -> np.ndarray:
         """The class of each key, by its weight P (k - s_i)."""
@@ -215,11 +208,11 @@ class WeightEchelon:
             np.hypot(amps.real, amps.imag), bounds[rows])
         # a closed image is dependent too: every column of its class from
         # its first on has a pivot; the rest are swept widest class first,
-        # each class's rows in candidate order
+        # the rows of a class together in candidate order
         first = np.minimum.reduceat(self._column[ids], bounds[rows])
         swept = np.flatnonzero(first < self._closed[cls])
-        swept = swept[np.argsort(-self._class_width[cls[swept]],
-                                 kind="stable")]
+        swept = swept[np.lexsort((cls[swept],
+                                  -self._class_width[cls[swept]]))]
         accepted = np.zeros(len(rows), dtype=bool)
         for i, j in _groups(self._class_width[cls[swept]], _CHUNK_CELLS):
             sweep = swept[i:j]
@@ -227,6 +220,7 @@ class WeightEchelon:
                                           bounds[rows[sweep]],
                                           lengths[rows[sweep]], ids, amps)
         # a class that gained pivots closes back over those just before it
+        # (a set: a bare np.unique imports numpy.ma, which test_cli bars)
         for c in set(cls[accepted].tolist()):
             closed, start = int(self._closed[c]), int(self._class_start[c])
             while closed and self._pivot[self._id_at[start + closed - 1]] >= 0:
@@ -237,29 +231,24 @@ class WeightEchelon:
             yield self._ids.codes[ids[a:b]], amps[a:b].copy()
 
     def _sweep(self, cls, floor, heads, lengths, ids, amps) -> np.ndarray:
-        """Which rows join the span, the rows in candidate order, each
-        row's entries at [head, head + length) in ids and amps."""
+        """Which rows join the span, each row's entries at [head, head +
+        length) in ids and amps; rows widest class first (those inside
+        their class at column t are a prefix), a class's rows together."""
         width = self._class_width[cls]
-        # widest first, so the rows still inside their class at column t
-        # are a prefix; the rows of a class together, in candidate order
-        order = np.lexsort((cls, -width))
-        width, cls, floor = width[order], cls[order], floor[order]
         lead = self._class_start[cls]
-        where = np.empty_like(order)
-        where[order] = np.arange(len(order))
         # cells column by column: column t holds the first inside[t] rows
         inside = np.searchsorted(-width, -np.arange(width[0] + 1))
         at = np.cumsum(inside) - inside
         re, im = np.zeros(at[-1]), np.zeros(at[-1])
         entry = _ranges(heads, lengths)
         column = self._column[ids[entry]]
-        cell = at[column] + np.repeat(where, lengths)
+        cell = at[column] + np.repeat(np.arange(len(cls)), lengths)
         re[cell], im[cell] = amps.real[entry], amps.imag[entry]
         # columns where some row may hold an entry, and a stop past the end
         touched = np.zeros(width[0] + 1, dtype=bool)
         touched[column] = touched[-1] = True
         del entry, column, cell     # not kept through the column loop
-        done = np.zeros(len(order), dtype=bool)
+        done = np.zeros(len(cls), dtype=bool)
         starts, ends = at.tolist(), (at + inside).tolist()
         t = int(touched.argmax())
         while t < width[0]:
@@ -286,7 +275,7 @@ class WeightEchelon:
                 self._subtract(re, im, at, touched, hit, a_re[hit], a_im[hit],
                                pivot)
             t += 1 + int(touched[t + 1:].argmax())
-        return done[where]
+        return done
 
     def _store(self, re, im, at, rows, t, length, lead) -> np.ndarray:
         """Store the rows from column t on, divided by their entry there,
@@ -327,22 +316,16 @@ class WeightEchelon:
     def _subtract(self, re, im, at, touched, rows, a_re, a_im, pivot):
         """Subtract amp times the pivot row, past its pivot, from each row,
         products rounded as Python's complex product rounds them, and mark
-        the columns written as touched."""
-        if not len(rows):
-            return
+        the columns written as touched; a bounded run of rows at a time
+        bounds the temporaries."""
         length = self._row_len[pivot] - 1
-        if len(rows) > 1 and length.sum() > _CHUNK_CELLS // 8:
-            # half the rows at a time bound the temporaries
-            half = len(rows) // 2
-            for part in slice(half), slice(half, None):
-                self._subtract(re, im, at, touched, rows[part], a_re[part],
-                               a_im[part], pivot[part])
-            return
-        entry = _ranges(self._row_start[pivot] + 1, length)
-        column = self._column[self._col[entry]]
-        touched[column] = True
-        cell = at[column] + np.repeat(rows, length)
-        a_re, a_im = np.repeat(a_re, length), np.repeat(a_im, length)
-        v_re, v_im = self._re[entry], self._im[entry]
-        re[cell] -= a_re * v_re - a_im * v_im
-        im[cell] -= a_re * v_im + a_im * v_re
+        for i, j in _groups(length, _CHUNK_CELLS // 8):
+            n = length[i:j]
+            entry = _ranges(self._row_start[pivot[i:j]] + 1, n)
+            column = self._column[self._col[entry]]
+            touched[column] = True
+            cell = at[column] + np.repeat(rows[i:j], n)
+            b_re, b_im = np.repeat(a_re[i:j], n), np.repeat(a_im[i:j], n)
+            v_re, v_im = self._re[entry], self._im[entry]
+            re[cell] -= b_re * v_re - b_im * v_im
+            im[cell] -= b_re * v_im + b_im * v_re

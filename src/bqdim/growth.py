@@ -185,6 +185,7 @@ class _Ids:
         ids = self.find(codes)
         unseen = ids < 0
         if unseen.any():
+            # a bare np.unique imports numpy.ma (numpy 2.4); test_cli bars it
             fresh = np.unique(codes[unseen], return_inverse=True)[0]
             n = len(self.codes)
             if n + len(fresh) > _IDS:
@@ -252,27 +253,27 @@ class _SlotKernel:
     one slot term per slot and sends a key to the cartesian product of its
     slot terms' outputs, slot 0 fastest, each with amplitude times
     scalar[c], then times the outputs' values in slot order.  batches
-    expands a block of elements at once by gather and scatter-add and
-    returns the block's images as one batch (bounds, keys, amplitudes),
-    image i being keys[bounds[i]:bounds[i+1]], keys ascending;
-    elimination.WeightEchelon reduces them batch by batch.  Each target
-    sums its terms in (entry, combination, output) order, as a dict would,
-    and only exact zeros are dropped.
+    cuts the frontier into blocks of at most _BLOCK_CELLS (entry,
+    combination) cells, at least _least (a generator's mean summands) a
+    candidate, so at most max(n_gens, _BLOCK_CELLS // _least) candidates,
+    and expands each block by gather and scatter-add into one batch
+    (bounds, keys, amplitudes), image i being keys[bounds[i]:bounds[i+1]],
+    keys ascending; elimination.WeightEchelon reduces them batch by batch.
+    Each target sums its terms in (entry, combination, output) order, as a
+    dict would, and only exact zeros are dropped.
     """
 
     def __init__(self, gens: list[TensorOperator], radices: list[int],
-                 combinations: int, probes: int):
+                 probes: int):
         self.signature = gens[0].signature
         self.n_gens = len(gens)
         self.radices = radices
         self.size = math.prod(radices)
         self.probes = probes
         self.lattice = _lattice(gens, len(radices))
-        # a block holds at most this many elements, each with at most one
-        # candidate per generator
-        self._block_elements = max(1, _BLOCK_CELLS // max(combinations, 1))
-        self.dense = (self._block_elements * self.n_gens * probes * self.size
-                      <= _DENSE_KEYS)
+        self._least = max(1, sum(len(g.summands) for g in gens) // self.n_gens)
+        self.dense = (max(self.n_gens, _BLOCK_CELLS // self._least) * probes
+                      * self.size <= _DENSE_KEYS)
         ends, codes = [], 1
         for s, radix in enumerate(radices):
             if not self.dense and s and codes * radix > _GROUP_CODES:
@@ -346,18 +347,12 @@ class _SlotKernel:
         lo = (np.zeros(len(frontier), dtype=np.int64) if letters is None
               else np.asarray(letters, dtype=np.int64))
         hi = lo + (self.n_gens if letters is None else 1)
-        width = self._first[hi] - self._first[lo]
-        start, cells = 0, 0
-        for i, x in enumerate(frontier):
-            cost = max(1, len(x[0])) * int(width[i])
-            if i > start and (cells + cost > _BLOCK_CELLS
-                              or i - start == self._block_elements):
-                yield self._expand_block(frontier[start:i], lo[start:i],
-                                         hi[start:i])
-                start, cells = i, 0
-            cells += cost
-        if start < len(frontier):
-            yield self._expand_block(frontier[start:], lo[start:], hi[start:])
+        # (entry, combination) cells, at least _least per candidate
+        cost = (np.array([max(1, len(k)) for k, _ in frontier], dtype=np.int64)
+                * np.maximum(self._first[hi] - self._first[lo],
+                             (hi - lo) * self._least))
+        for a, b in _groups(cost, _BLOCK_CELLS):
+            yield self._expand_block(frontier[a:b], lo[a:b], hi[a:b])
 
     def _expand_block(self, block, lo: np.ndarray, hi: np.ndarray):
         """The images of the block, element i under generators lo[i] up to
@@ -476,10 +471,7 @@ class ModuleKernel(_SlotKernel):
                      for d, z in zip(self.shift_bounds, self.circle)]
         super().__init__(
             gens, [reach + d * r_max - lo + 1
-                   for d, lo in zip(self.shift_bounds, self.lows)],
-            sum(math.prod(len(f.terms) for f in fs)
-                for op in gens for _, fs in op.summands),
-            probes)
+                   for d, lo in zip(self.shift_bounds, self.lows)], probes)
         if not self.dense:
             raise ValueError(
                 f"{probes} stacked index spaces of {self.size} keys are too "
@@ -563,8 +555,7 @@ class MonomialKernel(_SlotKernel):
                 terms.append([ids.setdefault(f, len(ids))
                               for ids, f in zip(factors, fs)])
         closures = [_slot_closure(list(ids), q, r_max) for ids in factors]
-        super().__init__(gens, [len(keys) for keys, _ in closures],
-                         len(operator), 1)
+        super().__init__(gens, [len(keys) for keys, _ in closures], 1)
         self.slot_keys = [keys for keys, _ in closures]
         self._digit = [{key: k for k, key in enumerate(keys)}
                        for keys in self.slot_keys]

@@ -401,3 +401,62 @@ def test_ids_number_codes_as_first_seen():
         with pytest.raises(ValueError, match="too many"):
             ids(np.array([2, 3]))
     assert ids.codes.tolist() == [10, 20, 30, 5, 40, 1]
+
+
+@pytest.mark.parametrize("kind", ["module series", "probe series",
+                                  "structural series", "walk",
+                                  "walk under a zero letter"])
+def test_blocks_hold_a_bounded_number_of_candidates(kind):
+    """Blocks are cut by their (entry, combination) cells, and a candidate
+    costs at least a generator's mean number of summands, so each block
+    holds at most max(n_gens, _BLOCK_CELLS // that) candidates, the bound
+    the dense keys are sized by.  A letter missing from its table is the
+    zero operator, which has no combinations: without the floor its 20,000
+    candidates would make one block."""
+    w = weylb.longest_quotient_element(2, weylb.ParabolicSubset.homogeneous(2, 2))
+    ops = growth.homogeneous_generators(growth.homogeneous_rep(2, 2, w), 2, 2)
+    letters = None
+    if kind == "module series":
+        ops = growth.module_generators(repsoq.rep_table(RepSpec(2, (1, 2, 1, 2))))
+        kernel = growth.ModuleKernel(ops, Q, R_MAX)
+        frontier = [kernel.encode(qo.vacuum(kernel.signature))] * 3000
+    elif kind == "probe series":
+        kernel = growth.ModuleKernel(ops, Q, R_MAX, reach=REACH, probes=STACK)
+        frontier = [kernel.encode(*[qo.vacuum(kernel.signature)] * STACK)
+                    ] * 1000
+    elif kind == "structural series":
+        kernel = growth.MonomialKernel(ops, Q, 3)
+        frontier = [kernel.start] * 1000
+    else:
+        ops = [op for op, _, _ in growth.homogeneous_witnesses(2, 2, w)]
+        if kind == "walk under a zero letter":
+            ops.append(qo.zero_operator(ops[0].signature))
+        kernel = growth.MonomialKernel(ops, Q, 3)
+        frontier = [kernel.start] * 20000
+        letters = [i % len(ops) if kind == "walk" else len(ops) - 1
+                   for i in range(len(frontier))]
+    least = max(1, sum(len(op.summands) for op in ops) // len(ops))
+    bound = max(len(ops), growth._BLOCK_CELLS // least)
+    assert kernel.dense == (bound * kernel.probes * kernel.size
+                            <= growth._DENSE_KEYS)
+    candidates = [len(bounds) - 1
+                  for bounds, _, _ in kernel.batches(frontier, letters)]
+    assert sum(candidates) == len(frontier) * (1 if letters else len(ops))
+    assert max(candidates) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 12), max_size=30),
+       limit=st.integers(0, 30))
+def test_groups_cut_maximal_bounded_runs(sizes, limit):
+    """_groups cuts kernel blocks, expansion runs, sweeps and subtractions:
+    consecutive runs covering every item once, each summing to at most
+    limit or holding one item, each ending where the next item would pass
+    limit."""
+    runs = list(growth._groups(np.array(sizes, dtype=np.int64), limit))
+    assert [i for a, b in runs for i in range(a, b)] == list(range(len(sizes)))
+    for a, b in runs:
+        assert b > a
+        assert sum(sizes[a:b]) <= limit or b - a == 1
+        if b < len(sizes):
+            assert sum(sizes[a:b + 1]) > limit
