@@ -34,11 +34,16 @@ the integers and the constant's repr: equal values mean bit-identical
 arithmetic, so typed functools caches keyed on them return what
 recomputing would: slot compose, the per-monomial factor expansions
 (slot_monomials) of monomial_decomposition and of growth's monomial
-kernel, the slot window maxima of window_deviation_bound and the factor
-normalisation of TensorOperator.canonical.  q lies in (0, 1), where
-float == means equal bits.  Cached values are tuples, floats and frozen
-objects.  Both canonical forms merge exactly and drop only exact zeros:
-the symbolic calculus has no tolerance.
+kernel, the slot window maxima of window_deviation_bound, the factor
+normalisation of TensorOperator.canonical and compile_table's row of each
+coefficient over (q, index range).  q lies in (0, 1), where float ==
+means equal bits.  Cached values are tuples, floats and frozen objects.
+Canonical factors are interned: WeightedShiftSum.canonical and the
+normalised factors of TensorOperator.canonical return one process-wide
+object per exact_key, which hashes once, so cache lookups and summand
+keys match on identity; a copy that was never interned still compares
+by exact_key.  Both canonical forms merge exactly and drop only exact
+zeros: the symbolic calculus has no tolerance.
 """
 
 from __future__ import annotations
@@ -212,7 +217,11 @@ class WeightedShiftSum:
             else:
                 merged[key] = (d, c)
         kept = [(d, c) for _, (d, c) in sorted(merged.items()) if c.const != 0]
-        return WeightedShiftSum(self.space, tuple(kept))
+        return WeightedShiftSum(self.space, tuple(kept))._interned()
+
+    def _interned(self) -> "WeightedShiftSum":
+        """The process-wide object of this value."""
+        return _INTERNED.setdefault(self.exact_key, self)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -221,12 +230,16 @@ class WeightedShiftSum:
     def exact_key(self) -> tuple:
         return (self.space,) + tuple((d, c.exact_key) for d, c in self.terms)
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.exact_key)
+
     def __eq__(self, other):
-        return (isinstance(other, WeightedShiftSum)
-                and self.exact_key == other.exact_key)
+        return self is other or (isinstance(other, WeightedShiftSum)
+                                 and self.exact_key == other.exact_key)
 
     def __hash__(self):
-        return hash(self.exact_key)
+        return self._hash
 
     @functools.lru_cache(maxsize=None, typed=True)
     def compose(self, other: "WeightedShiftSum") -> "WeightedShiftSum":
@@ -281,6 +294,9 @@ class WeightedShiftSum:
             else:
                 bits.append(c.render() if c.render() != "1" else "I")
         return " + ".join(bits)
+
+
+_INTERNED: dict[tuple, WeightedShiftSum] = {}
 
 
 def identity_shift(space: str = UNILATERAL) -> WeightedShiftSum:
@@ -349,11 +365,12 @@ class TensorOperator:
                 const, f = _normalised(f)
                 scalar *= const
                 norm_factors.append(f)
-            key = tuple(f.exact_key for f in norm_factors)
+            key = tuple(norm_factors)
             if key in collected:
-                scalar += collected[key][0]
-            collected[key] = (scalar, tuple(norm_factors))
-        kept = [(s + 0j, fs) for _, (s, fs) in sorted(collected.items()) if s != 0]
+                scalar += collected[key]
+            collected[key] = scalar
+        kept = sorted(((s + 0j, fs) for fs, s in collected.items() if s != 0),
+                      key=lambda sf: tuple(f.exact_key for f in sf[1]))
         return TensorOperator(self.signature, tuple(kept))
 
     def is_zero(self) -> bool:
@@ -380,9 +397,10 @@ def _normalised(f: WeightedShiftSum) -> tuple:
     term gives up its constant, a longer factor stays as it is and gives 1
     (a product with 1 can only change the sign of a zero part)."""
     if len(f.terms) != 1:
-        return 1, f
+        return 1, f._interned()
     d, c = f.terms[0]
-    return c.const, WeightedShiftSum(f.space, ((d, c.scaled(1.0 / c.const)),))
+    return c.const, WeightedShiftSum(
+        f.space, ((d, c.scaled(1.0 / c.const)),))._interned()
 
 
 def _bracket(s: str) -> str:
@@ -546,6 +564,11 @@ def _evaluate_or_nan(c: Coefficient, k: int, q: float) -> complex:
         return complex(math.nan, math.nan)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _coefficient_row(c: Coefficient, q: float, ks: range) -> tuple:
+    return tuple(_evaluate_or_nan(c, k, q) for k in ks)
+
+
 def compile_table(ops: list[TensorOperator], q: float,
                   ks: range) -> CompiledTable:
     """The term combinations of ops, coefficients over the indices ks."""
@@ -560,7 +583,7 @@ def compile_table(ops: list[TensorOperator], q: float,
                 term.append([rows.setdefault(c, len(rows)) for _, c in combo])
     coefficients = np.zeros((len(rows), len(ks)), dtype=complex)
     for c, row in rows.items():
-        coefficients[row] = [_evaluate_or_nan(c, k, q) for k in ks]
+        coefficients[row] = _coefficient_row(c, q, ks)
     shape = (len(operator), len(ops[0].signature))
     return CompiledTable(np.array(operator, dtype=np.int64),
                          np.array(scalar, dtype=complex),

@@ -18,6 +18,7 @@ bound does not clear the tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import qoperators as qo, weylb
@@ -325,20 +326,26 @@ def verify_frt(table: GeneratorImageTable, cutoff: int, q: float,
     for (a, b, m, nn), val in r_matrix_entries(table.n, q).items():
         by_upper.setdefault((a, b), []).append((m, nn, val))
     report = RelationReport(0.0)
+
+    @functools.cache
+    def product(a: tuple[int, int], b: tuple[int, int]) -> TensorOperator:
+        """The images at positions a and b composed, once per check."""
+        return qo.compose(table.images[a], table.images[b])
+
     for i in range(1, size + 1):
         for j in range(1, size + 1):
             # the terms of every (i, j, s, t) by (s, t), R^{ji}_{kl} first
             terms: dict[tuple[int, int], list[TensorOperator]] = {}
             for k, l, val in by_upper[(j, i)]:
-                for s, a in table.row(k):
-                    for t, b in table.row(l):
+                for s, _ in table.row(k):
+                    for t, _ in table.row(l):
                         terms.setdefault((s, t), []).append(
-                            qo.scale(val, qo.compose(a, b)))
-            for k, a in table.row(i):
-                for l, b in table.row(j):
+                            qo.scale(val, product((k, s), (l, t))))
+            for k, _ in table.row(i):
+                for l, _ in table.row(j):
                     for s, t, val in by_upper[(l, k)]:
                         terms.setdefault((s, t), []).append(
-                            qo.scale(-val, qo.compose(a, b)))
+                            qo.scale(-val, product((i, k), (j, l))))
             for (s, t), quad_terms in sorted(terms.items()):
                 dev = _measure(report, (i, j, s, t), quad_terms, 0.0,
                                table.signature, cutoff, q, tol)

@@ -14,6 +14,7 @@ so they also check that earlier examples leave no stale hits behind.
 import functools
 import itertools
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from bqdim import growth, qoperators as qo, repsoq, weylb
@@ -134,6 +135,21 @@ def test_equality_is_exact_key_equality(ops):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
+def test_factors_are_interned(op):
+    # one object per canonical factor value: the caches and the summand
+    # keys of TensorOperator.canonical hit on identity
+    factors = [f for _, fs in op.summands for f in fs]
+    copies = _values(op)[0][len(factors):]
+    for f, copy in zip(factors, copies):
+        assert f.canonical() is f
+        assert copy.canonical() is f
+    again = [f for _, fs in qo.add(op).summands for f in fs]
+    assert len(again) == len(factors)
+    assert all(a is f for a, f in zip(again, factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ONE_SLOT, TWO_SLOT, CIRCLE))
 def test_add_of_a_canonical_operator_is_itself(op):
     # what lets a relation be summed by one add over all its terms: bit for
     # bit, so the scalars keep their reprs, signs of zero parts included
@@ -201,6 +217,29 @@ def test_monomial_memo_is_keyed_on_q():
     for q in (0.5, 0.3, 0.5):
         assert qo.monomial_decomposition(op, q) == {((0, 1, ()),): q}
         assert coeff.monomials(q) == (((1, ()), q),)
+
+
+def test_coefficient_row_memo_is_keyed_on_q_and_window():
+    # sqrt(1 - q^(N+1)) + q^N on a circle slot: the radicand vanishes at
+    # N = -1 and is negative below it
+    op = qo.elementary_tensor([qo.sqrt_radical(1, 1, "Z").add(
+        qo.q_power(1, 0, "Z"))])
+    combos = [c for _, fs in op.summands
+              for c in itertools.product(*(f.terms for f in fs))]
+    for q, ks in ((0.5, range(0, 7)), (0.3, range(0, 7)),
+                  (0.5, range(-3, 4)), (0.5, range(0, 7))):
+        table = qo.compile_table([op], q, ks)
+        for c, combo in enumerate(combos):
+            for s, (_, coeff) in enumerate(combo):
+                row = table.coefficients[table.term[c, s]]
+                expected = [qo._evaluate_or_nan(coeff, k, q) for k in ks]
+                assert [repr(v) for v in row.tolist()] \
+                    == [repr(v) for v in expected], (q, ks, coeff)
+        if ks.start < 0:
+            radical = table.coefficients[table.term[0, 0]]
+            assert np.isnan(radical[:2]).all() and radical[2] == 0
+        # a later table reads the cache, not this array
+        table.coefficients[:] = 7
 
 
 def test_window_bound_memo_is_keyed_on_slot_cutoff_and_q():

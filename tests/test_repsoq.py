@@ -1,6 +1,7 @@
 """Representation tables: entry values, convolution, orthogonality,
 star structure and the reduced-word comparison."""
 
+import collections
 import math
 
 import pytest
@@ -259,6 +260,20 @@ def test_frt_diagnostic_reports():
     # the torus-only table satisfies the exchange relations exactly
     rep = repsoq.verify_frt(torus_table((1.0,), 1), 4, Q)
     assert rep.max_deviation < 1e-12
+
+
+def test_frt_composes_each_pair_of_images_once(monkeypatch):
+    table = rep_table(RepSpec(2, (1, 2)))
+    composed = collections.Counter()
+    compose = qo.compose
+
+    def counting(a, b):
+        composed[id(a), id(b)] += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(qo, "compose", counting)
+    repsoq.verify_frt(table, 4, Q)
+    assert composed and max(composed.values()) == 1
 
 
 def test_convolution_associativity():
