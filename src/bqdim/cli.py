@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         if mode == "module":
             p.add_argument("--word", required=True)
-            p.add_argument("--t", default=None)
+            p.add_argument("--t", default=None,
+                           help="torus point re,im;...: validated, and it "
+                                "does not change the certificate")
         else:
             p.add_argument("--m", type=int, required=True)
             p.add_argument("--probe", type=int, default=4)

@@ -4,8 +4,10 @@ WeightEchelon reduces a kernel's batches of images, a chunk of them at a
 time in numpy, with the float operations of a row echelon over sparse
 dicts that pivots on the largest key and reduces one image at a time: the
 reference of its law test, which keeps that echelon.  Every growth series
-and the witness rank run on it, and REL_TOL is the one place in growth
-that judges float noise.
+and the witness rank run on it, in real float64 (growth builds every
+module series at t = 1: a torus point only rescales generator rows by
+unit scalars).  REL_TOL is the one place in growth that judges float
+noise.
 """
 
 from __future__ import annotations
@@ -90,9 +92,8 @@ class WeightEchelon:
     in dense rows over the columns of their classes, all rows at one column
     at a time.  A row whose entry there is at or below its floor drops it.
     Otherwise the first such row of a class without a pivot there becomes
-    the pivot, normalised as Python divides complex numbers, and stops;
-    every other such row subtracts amp times the pivot row, multiplied as
-    Python multiplies complex numbers.  Within each class these are the
+    the pivot, divided by that entry, and stops; every other such row
+    subtracts amp times the pivot row.  Within each class these are the
     reference's float operations in its order, so the accepted images and
     the stored rows are the reference's.
 
@@ -129,8 +130,7 @@ class WeightEchelon:
         self._row_start = np.zeros(64, dtype=np.int64)
         self._row_len = np.zeros(64, dtype=np.int64)
         self._col = np.zeros(1024, dtype=np.int32)
-        self._re = np.zeros(1024)
-        self._im = np.zeros(1024)
+        self._val = np.zeros(1024)
         self._used = 0
 
     def __len__(self) -> int:
@@ -204,8 +204,7 @@ class WeightEchelon:
         cls = self._class[ids[bounds[rows]]]
         if (self._class[ids] != np.repeat(cls, lengths[rows])).any():
             raise AssertionError("an image spans two weight classes")
-        floor = REL_TOL * np.maximum.reduceat(
-            np.hypot(amps.real, amps.imag), bounds[rows])
+        floor = REL_TOL * np.maximum.reduceat(np.abs(amps), bounds[rows])
         # a closed image is dependent too: every column of its class from
         # its first on has a pivot; the rest are swept widest class first,
         # the rows of a class together in candidate order
@@ -239,11 +238,11 @@ class WeightEchelon:
         # cells column by column: column t holds the first inside[t] rows
         inside = np.searchsorted(-width, -np.arange(width[0] + 1))
         at = np.cumsum(inside) - inside
-        re, im = np.zeros(at[-1]), np.zeros(at[-1])
+        val = np.zeros(at[-1])
         entry = _ranges(heads, lengths)
         column = self._column[ids[entry]]
         cell = at[column] + np.repeat(np.arange(len(cls)), lengths)
-        re[cell], im[cell] = amps.real[entry], amps.imag[entry]
+        val[cell] = amps[entry]
         # columns where some row may hold an entry, and a stop past the end
         touched = np.zeros(width[0] + 1, dtype=bool)
         touched[column] = touched[-1] = True
@@ -253,8 +252,8 @@ class WeightEchelon:
         t = int(touched.argmax())
         while t < width[0]:
             a, b = starts[t], ends[t]
-            a_re, a_im = re[a:b], im[a:b]
-            hit = np.flatnonzero(np.hypot(a_re, a_im) > floor[:b - a])
+            amp = val[a:b]
+            hit = np.flatnonzero(np.abs(amp) > floor[:b - a])
             if len(hit):
                 key = self._id_at[lead[hit] + t]
                 pivot = self._pivot[key]
@@ -265,43 +264,31 @@ class WeightEchelon:
                         np.diff(cls[hit[fresh]], prepend=-1))]
                     made = hit[fresh]
                     self._pivot[key[fresh]] = self._store(
-                        re, im, at, made, t, width[made] - t, lead[made])
+                        val, at, made, t, width[made] - t, lead[made])
                     floor[made] = np.inf
                     done[made] = True
                     pivot = self._pivot[key]
                     rest = np.ones(len(hit), dtype=bool)
                     rest[fresh] = False
                     hit, pivot = hit[rest], pivot[rest]
-                self._subtract(re, im, at, touched, hit, a_re[hit], a_im[hit],
-                               pivot)
+                self._subtract(val, at, touched, hit, amp[hit], pivot)
             t += 1 + int(touched[t + 1:].argmax())
         return done
 
-    def _store(self, re, im, at, rows, t, length, lead) -> np.ndarray:
+    def _store(self, val, at, rows, t, length, lead) -> np.ndarray:
         """Store the rows from column t on, divided by their entry there,
         as new pivot rows; return their numbers.  Cell (row, column) is
         at[column] + row, and a row's class starts at lead in the layout."""
         owner = np.repeat(np.arange(len(rows)), length)
         column = _ranges(np.full(len(rows), t), length)
         cell = at[column] + rows[owner]
-        v_re, v_im = re[cell], im[cell]
-        nonzero = (v_re != 0) | (v_im != 0)
+        value = val[cell]
+        nonzero = value != 0
         owner, column = owner[nonzero], column[nonzero]
-        v_re, v_im = v_re[nonzero], v_im[nonzero]
-        # Python's complex division: Smith's method, as CPython writes it
-        b_re, b_im = re[at[t] + rows], im[at[t] + rows]
-        by_re = np.abs(b_re) >= np.abs(b_im)
-        ratio = np.where(by_re, b_im, b_re) / np.where(by_re, b_re, b_im)
-        denom = np.where(by_re, b_re + b_im * ratio, b_re * ratio + b_im)
-        by_re, ratio, denom = by_re[owner], ratio[owner], denom[owner]
-        n_re = np.where(by_re, v_re + v_im * ratio, v_re * ratio + v_im) / denom
-        n_im = np.where(by_re, v_im - v_re * ratio, v_im * ratio - v_re) / denom
         used = self._used + len(owner)
-        self._col, self._re, self._im = (_grown(a, used) for a in
-                                         (self._col, self._re, self._im))
+        self._col, self._val = (_grown(a, used) for a in (self._col, self._val))
         self._col[self._used:used] = self._id_at[lead[owner] + column]
-        self._re[self._used:used] = n_re
-        self._im[self._used:used] = n_im
+        self._val[self._used:used] = value[nonzero] / val[at[t] + rows][owner]
         counts = np.bincount(owner, minlength=len(rows))
         numbers = np.arange(self.rank, self.rank + len(rows))
         self._row_start, self._row_len = (_grown(a, self.rank + len(rows))
@@ -313,11 +300,10 @@ class WeightEchelon:
         self.rank += len(rows)
         return numbers
 
-    def _subtract(self, re, im, at, touched, rows, a_re, a_im, pivot):
+    def _subtract(self, val, at, touched, rows, amp, pivot):
         """Subtract amp times the pivot row, past its pivot, from each row,
-        products rounded as Python's complex product rounds them, and mark
-        the columns written as touched; a bounded run of rows at a time
-        bounds the temporaries."""
+        and mark the columns written as touched; a bounded run of rows at a
+        time bounds the temporaries."""
         length = self._row_len[pivot] - 1
         for i, j in _groups(length, _CHUNK_CELLS // 8):
             n = length[i:j]
@@ -325,7 +311,4 @@ class WeightEchelon:
             column = self._column[self._col[entry]]
             touched[column] = True
             cell = at[column] + np.repeat(rows[i:j], n)
-            b_re, b_im = np.repeat(a_re[i:j], n), np.repeat(a_im[i:j], n)
-            v_re, v_im = self._re[entry], self._im[entry]
-            re[cell] -= b_re * v_re - b_im * v_im
-            im[cell] -= b_re * v_im + b_im * v_re
+            val[cell] -= np.repeat(amp[i:j], n) * self._val[entry]

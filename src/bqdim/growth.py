@@ -21,8 +21,10 @@ with the slot key; each word expands from its parent's, one letter
 shorter, never composed, bit for bit as monomial_decomposition expands it.
 elimination.WeightEchelon reduces the images a chunk at a time, split by
 torus-weight class, and its REL_TOL is the one place that judges float
-noise, so every rank is a float rank.  Algebra growth runs the span once
-more on the action of the words on the probe vectors, on the module
+noise, so every rank is a float rank.  Both run in real float64 and
+refuse a complex value: a torus point only rescales generator rows by
+unit scalars, so every module series is built at t = 1.  Algebra growth
+runs the span once more on the action of the words on the probe vectors, on the module
 kernel: circle slots take negative indices, and one frontier element
 stacks a word's images of all probes.  That rank is a lower bound on the
 structural one, checked row by row.
@@ -203,10 +205,10 @@ class _Ids:
 
 class _SlotTable:
     """One slot's transitions at fixed q, from dense (term, digit) counts and
-    (term, digit, output) target digits and values.  Cell t * digits + k
+    (term, digit, output) target digits and real values.  Cell t * digits + k
     holds slot term t on digit k: count[cell] outputs, output j at
     cell * width + j, which moves the slot's group code by step and
-    multiplies by re + i im.  offset holds each combination's term at digit
+    multiplies by value.  offset holds each combination's term at digit
     0, inside marks the digits whose outputs all lie in the window, bad the
     cells where Coefficient.evaluate raises although the target exists
     (None for no such cell), and index maps a digit to its torus index."""
@@ -219,10 +221,19 @@ class _SlotTable:
         self.width = value.shape[2]
         self.step = ((target - np.arange(digits)[None, :, None])
                      * stride).ravel()
-        self.re, self.im = value.real.ravel(), value.imag.ravel()
+        self.value = _real(value).ravel()
         self.inside = inside
         self.bad = bad.ravel() if bad is not None and bad.any() else None
         self.index = np.asarray(index, dtype=np.int64)
+
+
+def _real(values) -> np.ndarray:
+    """values as float64, refusing a nonzero imaginary part rather than
+    truncating it; NaN, the mark of a domain error, passes."""
+    values = np.asarray(values)
+    if (np.abs(values.imag) > 0).any():
+        raise ValueError("a kernel value has a nonzero imaginary part")
+    return np.asarray(values.real, dtype=float)
 
 
 def _lattice(gens: list[TensorOperator], slots: int) -> np.ndarray:
@@ -292,7 +303,7 @@ class _SlotKernel:
 
     def _compiled(self, operator, scalar, slots: list[_SlotTable]):
         self.operator = np.array(operator, dtype=np.int64)
-        self.scalar = np.array(scalar, dtype=complex)
+        self.scalar = _real(scalar)
         # the combinations of generator g are first[g]:first[g + 1]
         self._first = np.searchsorted(self.operator,
                                       np.arange(self.n_gens + 1))
@@ -394,21 +405,16 @@ class _SlotKernel:
         # sums starting from those of the runs before it, so every target
         # sums its terms in (entry, combination, output) order
         stack = self.probes * self._span
-        found = np.zeros(0, dtype=np.int64)
-        re_sum, im_sum = np.zeros(0), np.zeros(0)
+        found, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
         for a, b in _groups(terms, _EXPAND_TERMS):
-            re, im, target, pair = self._terms(codes, amps, e[a:b], c[a:b],
-                                               [cell[a:b] for cell in cells])
+            value, target, pair = self._terms(codes, amps, e[a:b], c[a:b],
+                                              [cell[a:b] for cell in cells])
             cand = base[owner[e[a:b][pair]]] + self.operator[c[a:b][pair]]
             found, inv = np.unique(
                 np.concatenate([found, cand * stack + self._key(target)]),
                 return_inverse=True)
-            re_sum = np.bincount(inv, weights=np.concatenate([re_sum, re]),
-                                 minlength=len(found))
-            im_sum = np.bincount(inv, weights=np.concatenate([im_sum, im]),
-                                 minlength=len(found))
-        sums = re_sum + 0j
-        sums.imag = im_sum
+            sums = np.bincount(inv, weights=np.concatenate([sums, value]),
+                               minlength=len(found))
         # only exact zeros go
         keep = sums != 0
         found, sums = found[keep], sums[keep]
@@ -418,13 +424,10 @@ class _SlotKernel:
 
     def _terms(self, codes, amps, e, c, cells):
         """The terms of the (entry, combination) pairs (e, c) in order, as
-        real and imaginary parts, target group codes and the pair of each:
-        the amplitude times the scalar, then slot by slot, each slot's
-        outputs outermost over the products so far, in real arithmetic,
-        which rounds as Python's complex product does."""
-        a_re, a_im, s_re, s_im = (amps.real[e], amps.imag[e],
-                                  self.scalar.real[c], self.scalar.imag[c])
-        re, im = a_re * s_re - a_im * s_im, a_re * s_im + a_im * s_re
+        values, target group codes and the pair of each: the amplitude times
+        the scalar, then slot by slot, each slot's outputs outermost over
+        the products so far."""
+        value = amps[e] * self.scalar[c]
         target = [code[e] for code in codes]
         # per term, its pair (a slice while there is one per pair); per
         # pair, its number of terms
@@ -437,14 +440,13 @@ class _SlotKernel:
                 new = np.repeat(np.arange(len(grown)), grown)
                 j, i = np.divmod(_ranges(0, grown), size[new])
                 source = np.repeat(np.cumsum(size) - size, grown) + i
-                re, im = re[source], im[source]
+                value = value[source]
                 target = [t[source] for t in target]
                 out = cell[new] * slot.width + j
                 pair, size = new, grown
-            v_re, v_im = slot.re[out], slot.im[out]
-            re, im = re * v_re - im * v_im, re * v_im + im * v_re
+            value = value * slot.value[out]
             target[g] = target[g] + slot.step[out]
-        return re, im, target, pair
+        return value, target, pair
 
 
 class ModuleKernel(_SlotKernel):
@@ -513,7 +515,7 @@ class ModuleKernel(_SlotKernel):
                 keys.append(i * self.size
                             + sum(d * st for d, st in zip(digits, self.strides)))
                 amps.append(amp)
-        return np.array(keys, dtype=np.int64), np.array(amps, dtype=complex)
+        return np.array(keys, dtype=np.int64), _real(amps)
 
 
 def _slot_closure(factors: list[qo.WeightedShiftSum], q: float, r_max: int):
@@ -593,15 +595,17 @@ class MonomialKernel(_SlotKernel):
             for k, digit, g, stride in zip(key, self._digit, self._group,
                                            self.strides):
                 codes[g][i] += digit[k] * stride
-        return (self._key(codes),
-                np.array(list(expansion.values()), dtype=complex))
+        return self._key(codes), _real(list(expansion.values()))
 
 
 def _module_series(spec: RepSpec, r_max: int, q: float, basis_cap: int
                    ) -> tuple[ModuleKernel, GrowthSeries]:
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    kernel = ModuleKernel(module_generators(repsoq.rep_table(spec)), q, r_max)
+    # built at t = 1: spec.t multiplies each generator row by a unit scalar,
+    # so each word's image of the vacuum only by a unit, and no span moves
+    gens = module_generators(repsoq.rep_table(RepSpec(spec.n, spec.word)))
+    kernel = ModuleKernel(gens, q, r_max)
     return kernel, _span_series(
         kernel, kernel.encode(qo.vacuum(kernel.signature)), r_max, basis_cap,
         {"kind": "module", "n": spec.n, "word": list(spec.word)})
@@ -817,7 +821,7 @@ def module_certificate(spec: RepSpec, r_max: int, q: float,
     lw = weylb.length(w)
     if lw != len(spec.word):
         raise ValueError("word is not reduced; certificate needs a reduced word")
-    canonical = RepSpec(n, weylb.normal_form(w).word(), spec.t)
+    canonical = RepSpec(n, weylb.normal_form(w).word())
     kernel, series = _module_series(canonical, r_max, q, basis_cap)
     series.context["input_word"] = list(spec.word)
 

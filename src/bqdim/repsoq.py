@@ -256,6 +256,15 @@ def _measure(report: RelationReport, tag: tuple, terms: list[TensorOperator],
     return dev
 
 
+def _products(table: GeneratorImageTable):
+    """The images at positions a and b composed, product(a, b), each
+    ordered pair once per check."""
+    @functools.cache
+    def product(a: tuple[int, int], b: tuple[int, int]) -> TensorOperator:
+        return qo.compose(table.images[a], table.images[b])
+    return product
+
+
 def verify_orthogonality(table: GeneratorImageTable, cutoff: int, q: float,
                          tol: float = 1e-8) -> RelationReport:
     """Evaluate both families of quadratic orthogonality relations.
@@ -270,12 +279,14 @@ def verify_orthogonality(table: GeneratorImageTable, cutoff: int, q: float,
     """
     size = table.size
     c = metric_weights(table.n, q)
-    # the nonzero images by row, {k: {l: op}}, and by column, {l: {k: op}}
-    rows: dict[int, dict[int, TensorOperator]] = {}
-    cols: dict[int, dict[int, TensorOperator]] = {}
-    for (k, l), op in sorted(table.images.items()):
-        rows.setdefault(k, {})[l] = op
-        cols.setdefault(l, {})[k] = op
+    # the positions of the nonzero images by row, {k: {l: (k, l)}}, and by
+    # column, {l: {k: (k, l)}}; family 1 at i = j and family 2 at
+    # i + j = N + 1 compose the same pairs
+    rows: dict[int, dict[int, tuple[int, int]]] = {}
+    cols: dict[int, dict[int, tuple[int, int]]] = {}
+    for k, l in sorted(table.images):
+        rows.setdefault(k, {})[l] = cols.setdefault(l, {})[k] = (k, l)
+    product = _products(table)
     report = RelationReport(0.0)
     for i in range(1, size + 1):
         for j in range(1, size + 1):
@@ -284,7 +295,7 @@ def verify_orthogonality(table: GeneratorImageTable, cutoff: int, q: float,
             for fam, first, second, delta in (
                     (1, rows.get(i, {}), rows.get(size + 1 - j, {}), i == j),
                     (2, cols.get(i, {}), cols.get(j, {}), i + j == size + 1)):
-                terms = [qo.scale(c[k - 1], qo.compose(a, second[size + 1 - k]))
+                terms = [qo.scale(c[k - 1], product(a, second[size + 1 - k]))
                          for k, a in first.items() if size + 1 - k in second]
                 _measure(report, (fam, i, j), terms, c[i - 1] if delta else 0.0,
                          table.signature, cutoff, q, tol)
@@ -325,13 +336,8 @@ def verify_frt(table: GeneratorImageTable, cutoff: int, q: float,
     by_upper: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
     for (a, b, m, nn), val in r_matrix_entries(table.n, q).items():
         by_upper.setdefault((a, b), []).append((m, nn, val))
+    product = _products(table)
     report = RelationReport(0.0)
-
-    @functools.cache
-    def product(a: tuple[int, int], b: tuple[int, int]) -> TensorOperator:
-        """The images at positions a and b composed, once per check."""
-        return qo.compose(table.images[a], table.images[b])
-
     for i in range(1, size + 1):
         for j in range(1, size + 1):
             # the terms of every (i, j, s, t) by (s, t), R^{ji}_{kl} first

@@ -1,6 +1,7 @@
 """Representation tables: entry values, convolution, orthogonality,
 star structure and the reduced-word comparison."""
 
+import cmath
 import collections
 import math
 
@@ -262,7 +263,12 @@ def test_frt_diagnostic_reports():
     assert rep.max_deviation < 1e-12
 
 
-def test_frt_composes_each_pair_of_images_once(monkeypatch):
+@pytest.mark.parametrize("check", [repsoq.verify_frt,
+                                   repsoq.verify_orthogonality],
+                         ids=lambda check: check.__name__)
+def test_relation_checks_compose_each_pair_of_images_once(monkeypatch, check):
+    """Orthogonality's family 1 at i = j and family 2 at i + j = N + 1 pair
+    the same images, and the exchange relations reuse their pairs."""
     table = rep_table(RepSpec(2, (1, 2)))
     composed = collections.Counter()
     compose = qo.compose
@@ -272,8 +278,25 @@ def test_frt_composes_each_pair_of_images_once(monkeypatch):
         return compose(a, b)
 
     monkeypatch.setattr(qo, "compose", counting)
-    repsoq.verify_frt(table, 4, Q)
+    check(table, 4, Q)
     assert composed and max(composed.values()) == 1
+
+
+@pytest.mark.parametrize("n,word", [(1, (1,)), (2, (1, 2)), (2, (2, 1, 2)),
+                                    (3, (1, 2, 3, 2, 1))])
+def test_torus_rescales_generator_rows(n, word):
+    """The table at a torus point t is the table at t = 1 with row k
+    multiplied by the unit scalar torus_scalars(t)[k]: the premise on
+    which growth builds every module series at t = 1."""
+    t = tuple(cmath.exp(0.7j * (i + 1)) for i in range(n))
+    plain = rep_table(RepSpec(n, word))
+    scalars = repsoq.torus_scalars(t, n)
+    scaled = repsoq.GeneratorImageTable(n, plain.signature, {
+        (k, l): qo.scale(scalars[k - 1], op)
+        for (k, l), op in plain.images.items()})
+    ok, dev = repsoq.tables_equal(rep_table(RepSpec(n, word, t)), scaled,
+                                  3, Q)
+    assert ok, dev
 
 
 def test_convolution_associativity():
