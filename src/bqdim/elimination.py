@@ -7,7 +7,8 @@ reference of its law test, which keeps that echelon.  Every growth series
 and the witness rank run on it, in real float64 (growth builds every
 module series at t = 1: a torus point only rescales generator rows by
 unit scalars).  REL_TOL is the one place in growth that judges float
-noise.
+noise.  _Ids numbers int64 codes, for the echelon and for the growth
+kernels that intern their keys; _groups cuts the bounded runs of both.
 """
 
 from __future__ import annotations
@@ -16,11 +17,70 @@ import math
 
 import numpy as np
 
-from .growth import _groups, _Ids, _ranges
-
 # a candidate's residual entry at or below REL_TOL times its largest
 # initial |entry| is noise
 REL_TOL = 1e-8
+# interned keys number fewer than this, so that a kernel's block key
+# candidate * _IDS + id fits int64
+_IDS = 1 << 31
+
+
+def _ranges(starts: np.ndarray | int, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + n) over starts and lengths."""
+    ends = np.cumsum(lengths)
+    total = ends[-1] if len(ends) else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
+def _groups(sizes: np.ndarray, limit: int):
+    """Yield (start, stop) of consecutive runs of sizes that sum to at most
+    limit, or hold one item."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < len(ends):
+        j = max(i + 1, int(np.searchsorted(
+            ends, (ends[i - 1] if i else 0) + limit, "right")))
+        yield i, j
+        i = j
+
+
+class _Ids:
+    """Ids of int64 codes, numbered as they are first seen (codes first
+    seen in one call in code order); codes[i] is the code of id i."""
+
+    def __init__(self):
+        self.codes = np.zeros(0, dtype=np.int64)
+        self._sorted = np.zeros(0, dtype=np.int64)
+        self._order = np.zeros(0, dtype=np.int64)
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """The ids of codes, -1 for a code never seen; interns nothing."""
+        at = np.searchsorted(self._sorted, codes)
+        seen = at < len(self._sorted)
+        seen[seen] = self._sorted[at[seen]] == codes[seen]
+        ids = np.full(len(codes), -1, dtype=np.int64)
+        ids[seen] = self._order[at[seen]]
+        return ids
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        """The ids of codes, new ones interned."""
+        ids = self.find(codes)
+        unseen = ids < 0
+        if unseen.any():
+            # a bare np.unique imports numpy.ma (numpy 2.4); test_cli bars it
+            fresh = np.unique(codes[unseen], return_inverse=True)[0]
+            n = len(self.codes)
+            if n + len(fresh) > _IDS:
+                raise ValueError(f"more than {_IDS} interned keys are too "
+                                 f"many for int64 block keys")
+            self.codes = np.concatenate([self.codes, fresh])
+            at = np.searchsorted(self._sorted, fresh)
+            self._sorted = np.insert(self._sorted, at, fresh)
+            self._order = np.insert(self._order, at,
+                                    np.arange(n, n + len(fresh)))
+            ids[unseen] = self._order[np.searchsorted(self._sorted,
+                                                      codes[unseen])]
+        return ids
 
 
 def _annihilator(vectors: list[tuple[int, ...]], dim: int) -> np.ndarray:
@@ -84,9 +144,10 @@ class WeightEchelon:
     its annihilator, every stacked image of a word lies in one weight class
     P (k - s_i), s_i a support point of probe i.  A pivot row lies in the
     class of the image that made it, so classes never meet.  Keys get an id
-    on first sight, from the growth kernels' _Ids; the layout lists each
-    class's known keys in descending order (kernel.sort_keys), the order in
-    which the reference takes them, and grows with each chunk.
+    on first sight, from _Ids as in the interning kernels; the layout lists
+    each class's known keys in descending code order (kernel.codes, which
+    is tuple order), the order in which the reference takes them, and grows
+    with each chunk.
 
     Batches join a chunk until it holds _CHUNK_CELLS entries.  It is swept
     in dense rows over the columns of their classes, all rows at one column
@@ -161,7 +222,7 @@ class WeightEchelon:
         """The column of every known key: its rank in its class, in
         descending key order; classes lie in class order."""
         n = len(self._class)
-        self._id_at = np.lexsort((-self.kernel.sort_keys(self._ids.codes),
+        self._id_at = np.lexsort((-self.kernel.codes(self._ids.codes),
                                   self._class))
         self._class_width = np.bincount(self._class,
                                         minlength=len(self._classes))

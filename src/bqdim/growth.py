@@ -6,15 +6,16 @@ to a start element, and the results are rank-reduced with a canonical
 pivot order.  The generators are compiled once per run at fixed q into
 per-slot transition tables over integer slot digits, and one routine
 expands a block of frontier elements by gather and scatter-add, each
-image's keys ascending.  A key packs its slot digits in mixed radix where
-block keys of the whole index space fit int64; past that (as for the
-(4, 2) and (4, 1) series at r_max = 2, and the witness walks of (4, 3)
-at r_max = 2 and (3, 1) at r_max = 3) it is an interned id of the packed
-digits of slot groups.  Module
-growth runs it on vectors from the vacuum (ModuleKernel): a slot term is
-one term of a factor, with one output, its coefficient evaluated once per
-index; the images carry the rounding, the index order and the exact-zero
-drop of apply_operator.  Algebra growth runs it on the monomial
+image's keys ascending.  A key's code packs its probe and slot digits in
+one int64 in mixed radix, and a kernel whose codes pass int64 is refused.
+The code is the key where block keys of the whole index space fit int64;
+past that (as for the (4, 2) and (4, 1) series at r_max = 2, and the
+witness walks of (4, 3) at r_max = 2 and (3, 1) at r_max = 3) the key is
+an interned id of the code.  Module growth runs it on vectors from the
+vacuum (ModuleKernel): a slot term is one term of a factor, with one
+output, its coefficient evaluated once per index; the images carry the
+rounding and the exact-zero drop of apply_operator, and its index order
+where the keys are dense.  Algebra growth runs it on the monomial
 expansions of operator words from the identity's (MonomialKernel): a slot
 term is a whole factor, whose outputs are the monomials of its product
 with the slot key; each word expands from its parent's, one letter
@@ -55,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagrams, qoperators as qo, repsoq, weylb
+from .elimination import _IDS, WeightEchelon, _groups, _Ids, _ranges
 from .qoperators import SparseVector, TensorOperator
 from .repsoq import GeneratorImageTable, RepSpec
 from .weylb import ParabolicSubset, SignedPermutation
@@ -92,8 +94,6 @@ def _span_series(kernel: _SlotKernel, start, r_max: int, basis_cap: int,
     it are the next frontier.  Past basis_cap the series up to the previous
     step rides on the BudgetExceeded error.
     """
-    # imported on first use: runs without a series never compile it
-    from .elimination import WeightEchelon
     independent = WeightEchelon(kernel, start).independent
     frontier = list(independent([(np.array([0, len(start[0])]), *start)]))
     rank = len(frontier)
@@ -136,82 +136,21 @@ def homogeneous_generators(eta: GeneratorImageTable, n: int, m: int
 _BLOCK_CELLS = 8192
 _EXPAND_TERMS = 1 << 19
 # block keys (candidate, probe, key) at most this large hold the whole
-# index space; past it a kernel interns the keys it reaches, chaining the
-# codes of slot groups of at most _GROUP_CODES keys through ids below
-# _IDS, so that id * codes + code and a block key candidate * _IDS + id
-# still fit int64
+# index space, and a kernel keys by code; past it a kernel interns the
+# codes it reaches as ids below _IDS, so that a block key candidate * _IDS
+# + id still fits int64
 _DENSE_KEYS = np.iinfo(np.int64).max
-_GROUP_CODES = 1 << 32
-_IDS = 1 << 31
-
-
-def _ranges(starts: np.ndarray | int, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of range(s, s + n) over starts and lengths."""
-    ends = np.cumsum(lengths)
-    total = ends[-1] if len(ends) else 0
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
-
-
-def _groups(sizes: np.ndarray, limit: int):
-    """Yield (start, stop) of consecutive runs of sizes that sum to at most
-    limit, or hold one item."""
-    ends = np.cumsum(sizes)
-    i = 0
-    while i < len(ends):
-        j = max(i + 1, int(np.searchsorted(
-            ends, (ends[i - 1] if i else 0) + limit, "right")))
-        yield i, j
-        i = j
-
-
-class _Ids:
-    """Ids of int64 codes, numbered as they are first seen (codes first
-    seen in one call in code order); codes[i] is the code of id i."""
-
-    def __init__(self):
-        self.codes = np.zeros(0, dtype=np.int64)
-        self._sorted = np.zeros(0, dtype=np.int64)
-        self._order = np.zeros(0, dtype=np.int64)
-
-    def find(self, codes: np.ndarray) -> np.ndarray:
-        """The ids of codes, -1 for a code never seen; interns nothing."""
-        at = np.searchsorted(self._sorted, codes)
-        seen = at < len(self._sorted)
-        seen[seen] = self._sorted[at[seen]] == codes[seen]
-        ids = np.full(len(codes), -1, dtype=np.int64)
-        ids[seen] = self._order[at[seen]]
-        return ids
-
-    def __call__(self, codes: np.ndarray) -> np.ndarray:
-        """The ids of codes, new ones interned."""
-        ids = self.find(codes)
-        unseen = ids < 0
-        if unseen.any():
-            # a bare np.unique imports numpy.ma (numpy 2.4); test_cli bars it
-            fresh = np.unique(codes[unseen], return_inverse=True)[0]
-            n = len(self.codes)
-            if n + len(fresh) > _IDS:
-                raise ValueError(f"more than {_IDS} interned keys are too "
-                                 f"many for int64 block keys")
-            self.codes = np.concatenate([self.codes, fresh])
-            at = np.searchsorted(self._sorted, fresh)
-            self._sorted = np.insert(self._sorted, at, fresh)
-            self._order = np.insert(self._order, at,
-                                    np.arange(n, n + len(fresh)))
-            ids[unseen] = self._order[np.searchsorted(self._sorted,
-                                                      codes[unseen])]
-        return ids
 
 
 class _SlotTable:
     """One slot's transitions at fixed q, from dense (term, digit) counts and
     (term, digit, output) target digits and real values.  Cell t * digits + k
     holds slot term t on digit k: count[cell] outputs, output j at
-    cell * width + j, which moves the slot's group code by step and
-    multiplies by value.  offset holds each combination's term at digit
-    0, inside marks the digits whose outputs all lie in the window, bad the
-    cells where Coefficient.evaluate raises although the target exists
-    (None for no such cell), and index maps a digit to its torus index."""
+    cell * width + j, which moves the key's code by step and multiplies by
+    value.  offset holds each combination's term at digit 0, inside marks
+    the digits whose outputs all lie in the window, bad the cells where
+    Coefficient.evaluate raises although the target exists (None for no
+    such cell), and index maps a digit to its torus index."""
 
     def __init__(self, term, count, target, value, inside, bad, index,
                  stride: int):
@@ -252,26 +191,26 @@ def _lattice(gens: list[TensorOperator], slots: int) -> np.ndarray:
 class _SlotKernel:
     """Generators at fixed q, compiled once into per-slot transition tables.
 
-    Slots fall into consecutive groups, and a group's code holds one digit
-    per slot in mixed radix, the first slot most significant; digit order
-    is the order of what the digits stand for, so code order is tuple
-    order.  A key is dense, the one group's code, when block keys of the
-    whole stacked index space fit int64, and otherwise an interned id of
-    its group codes, ordered by sort_keys; elimination pivots on that
-    order as on tuples.  A frontier element is a pair (keys, amplitudes)
-    of arrays holding a stack of `probes` elements, probe i offset by i
-    times the size.  A term combination c of generator operator[c] picks
-    one slot term per slot and sends a key to the cartesian product of its
-    slot terms' outputs, slot 0 fastest, each with amplitude times
-    scalar[c], then times the outputs' values in slot order.  batches
-    cuts the frontier into blocks of at most _BLOCK_CELLS (entry,
-    combination) cells, at least _least (a generator's mean summands) a
-    candidate, so at most max(n_gens, _BLOCK_CELLS // _least) candidates,
-    and expands each block by gather and scatter-add into one batch
-    (bounds, keys, amplitudes), image i being keys[bounds[i]:bounds[i+1]],
-    keys ascending; elimination.WeightEchelon reduces them batch by batch.
-    Each target sums its terms in (entry, combination, output) order, as a
-    dict would, and only exact zeros are dropped.
+    A frontier element is a pair (keys, amplitudes) of arrays holding a
+    stack of `probes` elements.  The code of a key holds its probe and one
+    digit per slot in mixed radix, the probe most significant, then slot
+    0; digit order is the order of what the digits stand for, so code order
+    is tuple order, on which elimination pivots.  A kernel whose codes pass
+    int64 is refused.  A dense kernel, whose block keys over the whole
+    stacked index space fit int64, keys by code; any other interns the
+    codes it reaches as ids, and codes maps keys back.  A term combination
+    c of generator operator[c] picks one slot term per slot and sends a key
+    to the cartesian product of its slot terms' outputs, slot 0 fastest,
+    each with amplitude times scalar[c], then times the outputs' values in
+    slot order.  batches cuts the frontier into blocks of at most
+    _BLOCK_CELLS (entry, combination) cells, at least _least (a generator's
+    mean summands) a candidate, so at most max(n_gens, _BLOCK_CELLS //
+    _least) candidates, and expands each block by gather and scatter-add
+    into one batch (bounds, keys, amplitudes), image i being
+    keys[bounds[i]:bounds[i+1]], keys ascending; elimination.WeightEchelon
+    reduces them batch by batch.  Each target sums its terms in (entry,
+    combination, output) order, as a dict would, and only exact zeros are
+    dropped.
     """
 
     def __init__(self, gens: list[TensorOperator], radices: list[int],
@@ -281,25 +220,16 @@ class _SlotKernel:
         self.radices = radices
         self.size = math.prod(radices)
         self.probes = probes
+        if probes * self.size > np.iinfo(np.int64).max:
+            raise ValueError(f"{probes} stacked index spaces of {self.size} "
+                             f"keys are too large for int64 codes")
+        self.strides = [math.prod(radices[s + 1:])
+                        for s in range(len(radices))]
         self.lattice = _lattice(gens, len(radices))
         self._least = max(1, sum(len(g.summands) for g in gens) // self.n_gens)
         self.dense = (max(self.n_gens, _BLOCK_CELLS // self._least) * probes
                       * self.size <= _DENSE_KEYS)
-        ends, codes = [], 1
-        for s, radix in enumerate(radices):
-            if not self.dense and s and codes * radix > _GROUP_CODES:
-                ends.append(s)
-                codes = 1
-            codes *= radix
-        ends.append(len(radices))
-        self._group = [sum(s >= e for e in ends) for s in range(len(radices))]
-        self._codes_per_group = [math.prod(radices[a:b]) for a, b
-                                 in zip([0] + ends[:-1], ends)]
-        self.strides = [math.prod(radices[s + 1:ends[g]])
-                        for s, g in enumerate(self._group)]
-        # keys per probe, and the interned ids of each group's chain code
-        self._span = self.size if self.dense else _IDS
-        self._ids = None if self.dense else [_Ids() for _ in ends]
+        self._ids = None if self.dense else _Ids()
 
     def _compiled(self, operator, scalar, slots: list[_SlotTable]):
         self.operator = np.array(operator, dtype=np.int64)
@@ -309,46 +239,25 @@ class _SlotKernel:
                                       np.arange(self.n_gens + 1))
         self._slots = slots
 
-    def _codes(self, keys: np.ndarray) -> list[np.ndarray]:
-        """The group codes of keys (of a dense key, with its probe offset)."""
-        if self.dense:
-            return [keys]
-        chain, codes = self._ids[-1].codes[keys], []
-        for ids, size in zip(self._ids[-2::-1], self._codes_per_group[:0:-1]):
-            chain, code = np.divmod(chain, size)
-            codes.append(code)
-            chain = ids.codes[chain]
-        return [chain] + codes[::-1]
+    def codes(self, keys: np.ndarray) -> np.ndarray:
+        """The codes of keys."""
+        return keys if self.dense else self._ids.codes[keys]
 
-    def _key(self, codes: list[np.ndarray]) -> np.ndarray:
-        """The keys of group codes: the code itself, or the id of the chain
-        ((id(code_0) * size_1 + code_1) ...), new ones interned."""
-        if self.dense:
-            return codes[0]
-        chain = codes[0]
-        for ids, code, size in zip(self._ids, codes[1:],
-                                   self._codes_per_group[1:]):
-            chain = ids(chain) * size + code
-        return self._ids[-1](chain)
+    def _key(self, codes: np.ndarray) -> np.ndarray:
+        """The keys of codes, new ones interned."""
+        return codes if self.dense else self._ids(codes)
 
-    def _digits(self, codes: list[np.ndarray]) -> list[np.ndarray]:
-        return [codes[g] // stride % radix for g, stride, radix
-                in zip(self._group, self.strides, self.radices)]
-
-    def sort_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Integers in the tuple order of distinct keys."""
-        if self.dense:
-            return keys
-        rank = np.empty(len(keys), dtype=np.int64)
-        rank[np.lexsort(self._codes(keys)[::-1])] = np.arange(len(keys))
-        return rank
+    def _digits(self, codes: np.ndarray) -> list[np.ndarray]:
+        return [codes // stride % radix
+                for stride, radix in zip(self.strides, self.radices)]
 
     def indices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The probe and the torus index (one row each) of stacked keys."""
+        codes = self.codes(keys)
         index = np.array([slot.index[k] for slot, k in
-                          zip(self._slots, self._digits(self._codes(keys)))],
+                          zip(self._slots, self._digits(codes))],
                          dtype=np.int64)
-        return (keys // self._span,
+        return (codes // self.size,
                 index.reshape(len(self.radices), len(keys)).T)
 
     def batches(self, frontier, letters=None):
@@ -371,7 +280,7 @@ class _SlotKernel:
         keys = np.concatenate([k for k, _ in block])
         amps = np.concatenate([a for _, a in block])
         owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
-        codes = self._codes(keys)
+        codes = self.codes(keys)
         digits = self._digits(codes)
         if not all(slot.inside[k].all()
                    for slot, k in zip(self._slots, digits)):
@@ -400,11 +309,11 @@ class _SlotKernel:
         # element i under generator g is candidate base[i] + g: the
         # candidates of the elements before it, then g - lo[i]
         base = np.cumsum(hi - lo) - (hi - lo) - lo
-        # scatter-add per (candidate, probe, target), the probe offset
-        # riding in the keys; a bounded run of pairs at a time, each run's
+        # scatter-add per (candidate, probe, target), the probe riding in
+        # the codes; a bounded run of pairs at a time, each run's
         # sums starting from those of the runs before it, so every target
         # sums its terms in (entry, combination, output) order
-        stack = self.probes * self._span
+        stack = self.probes * self.size if self.dense else _IDS
         found, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
         for a, b in _groups(terms, _EXPAND_TERMS):
             value, target, pair = self._terms(codes, amps, e[a:b], c[a:b],
@@ -424,15 +333,15 @@ class _SlotKernel:
 
     def _terms(self, codes, amps, e, c, cells):
         """The terms of the (entry, combination) pairs (e, c) in order, as
-        values, target group codes and the pair of each: the amplitude times
-        the scalar, then slot by slot, each slot's outputs outermost over
-        the products so far."""
+        values, target codes and the pair of each: the amplitude times the
+        scalar, then slot by slot, each slot's outputs outermost over the
+        products so far."""
         value = amps[e] * self.scalar[c]
-        target = [code[e] for code in codes]
+        target = codes[e]
         # per term, its pair (a slice while there is one per pair); per
         # pair, its number of terms
         pair, size = slice(None), np.ones(len(e), dtype=np.int64)
-        for slot, g, cell in zip(self._slots, self._group, cells):
+        for slot, cell in zip(self._slots, cells):
             if slot.width == 1:
                 out = cell[pair]
             else:
@@ -441,11 +350,11 @@ class _SlotKernel:
                 j, i = np.divmod(_ranges(0, grown), size[new])
                 source = np.repeat(np.cumsum(size) - size, grown) + i
                 value = value[source]
-                target = [t[source] for t in target]
+                target = target[source]
                 out = cell[new] * slot.width + j
                 pair, size = new, grown
             value = value * slot.value[out]
-            target[g] = target[g] + slot.step[out]
+            target = target + slot.step[out]
         return value, target, pair
 
 
@@ -461,8 +370,8 @@ class ModuleKernel(_SlotKernel):
     the value c(k), evaluated once per digit by compile_table; a vanishing
     value gives none.  A module series stacks one vector, the vacuum, with
     reach 0.  Each stacked image equals apply_operator's images of the
-    stacked vectors: the same nonzero entries in index order, rounded the
-    same way.
+    stacked vectors: the same nonzero entries, rounded the same way, in
+    index order where keys are dense (in id order where they are interned).
     """
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
@@ -474,10 +383,6 @@ class ModuleKernel(_SlotKernel):
         super().__init__(
             gens, [reach + d * r_max - lo + 1
                    for d, lo in zip(self.shift_bounds, self.lows)], probes)
-        if not self.dense:
-            raise ValueError(
-                f"{probes} stacked index spaces of {self.size} keys are too "
-                f"large for int64 block keys at r_max={r_max}")
         ks = range(min(self.lows, default=0),
                    max((lo + b for lo, b in zip(self.lows, self.radices)),
                        default=1))
@@ -503,7 +408,7 @@ class ModuleKernel(_SlotKernel):
         if len(vectors) != self.probes:
             raise ValueError(f"expected a stack of {self.probes} vectors, "
                              f"got {len(vectors)}")
-        keys, amps = [], []
+        codes, amps = [], []
         for i, vec in enumerate(vectors):
             if vec.signature != self.signature:
                 raise ValueError("signature mismatch")
@@ -512,10 +417,10 @@ class ModuleKernel(_SlotKernel):
                 if not all(0 <= d < b for d, b in zip(digits, self.radices)):
                     raise ValueError(f"index {index} is outside the window "
                                      f"from {self.lows} of {self.radices}")
-                keys.append(i * self.size
-                            + sum(d * st for d, st in zip(digits, self.strides)))
+                codes.append(i * self.size + sum(
+                    d * st for d, st in zip(digits, self.strides)))
                 amps.append(amp)
-        return np.array(keys, dtype=np.int64), _real(amps)
+        return self._key(np.array(codes, dtype=np.int64)), _real(amps)
 
 
 def _slot_closure(factors: list[qo.WeightedShiftSum], q: float, r_max: int):
@@ -587,15 +492,14 @@ class MonomialKernel(_SlotKernel):
     def encode(self, expansion: dict) -> tuple[np.ndarray, np.ndarray]:
         """The frontier element of an expansion over reached slot keys,
         entries in the expansion's order."""
-        codes = [np.zeros(len(expansion), dtype=np.int64)
-                 for _ in self._codes_per_group]
-        for i, key in enumerate(expansion):
+        codes = []
+        for key in expansion:
             if not all(k in digit for k, digit in zip(key, self._digit)):
                 raise ValueError(f"monomial {key} is outside the window")
-            for k, digit, g, stride in zip(key, self._digit, self._group,
-                                           self.strides):
-                codes[g][i] += digit[k] * stride
-        return self._key(codes), _real(list(expansion.values()))
+            codes.append(sum(digit[k] * stride for k, digit, stride
+                             in zip(key, self._digit, self.strides)))
+        return (self._key(np.array(codes, dtype=np.int64)),
+                _real(list(expansion.values())))
 
 
 def _module_series(spec: RepSpec, r_max: int, q: float, basis_cap: int
@@ -1009,7 +913,6 @@ def homogeneous_certificate(n: int, m: int, r_max: int, q: float,
     probe = dict(series.context["probe_values"])
     # each total's patterns expand from their parents, one letter each;
     # totals ascend, so a total's rank counts every pattern up to it
-    from .elimination import WeightEchelon
     kernel = MonomialKernel([op for op, _, _ in letters], q, r_max)
     elim, values = WeightEchelon(kernel, kernel.start), [kernel.start]
     list(elim.independent([(np.array([0, 1]), *kernel.start)]))

@@ -6,9 +6,9 @@ reference.  Both take one candidate stream, level by level, and must give
 the same accepted images, in order, and the same stored rows under ==, a
 missing entry counting as 0, whatever the chunk budget: one row per sweep,
 a random one, or a whole level.  The streams are module and probe series,
-structural series of monomial expansions, and a witness walk, the last
-two also with interned keys.  At small q both sides still overcount
-(ROADMAP item 1); they must agree there too.
+structural series of monomial expansions, and a witness walk, each also
+with interned keys.  At small q both sides still overcount (ROADMAP
+item 1); they must agree there too.
 """
 
 from unittest import mock
@@ -76,13 +76,13 @@ ONE_ROW, WHOLE = 1, 1 << 40
 BUDGETS = st.just(WHOLE) | st.integers(64, 1 << 16)
 
 
-def _tuples(kernel, keys) -> list[tuple]:
-    """Keys as the tuples of their group codes, in the kernel's key order."""
-    return list(zip(*(code.tolist() for code in kernel._codes(keys))))
+def _codes(kernel, keys) -> list[int]:
+    """Keys as their codes, whose order is the kernel's key order."""
+    return kernel.codes(keys).tolist()
 
 
 def _fingerprint(kernel, keys, amps) -> dict:
-    return dict(zip(_tuples(kernel, keys), amps.tolist()))
+    return dict(zip(_codes(kernel, keys), amps.tolist()))
 
 
 def _reference(kernel, start, r_max, walk=None):
@@ -111,8 +111,8 @@ def _rows(elim) -> dict:
     rows = {}
     for start, length in zip(elim._row_start[:elim.rank].tolist(),
                              elim._row_len[:elim.rank].tolist()):
-        keys = _tuples(elim.kernel,
-                       elim._ids.codes[elim._col[start:start + length]])
+        keys = _codes(elim.kernel,
+                      elim._ids.codes[elim._col[start:start + length]])
         values = elim._val[start:start + length].tolist()
         rows[keys[0]] = dict(zip(keys, values))
     return rows
@@ -164,11 +164,9 @@ def _structural(n, m, r_max, q=Q):
     return kernel, kernel.start
 
 
-def _chained(build, *args):
-    """build(*args) with a monomial kernel whose keys are interned ids of
-    slot groups of at most 64 codes."""
-    with mock.patch.object(growth, "_DENSE_KEYS", 0), \
-            mock.patch.object(growth, "_GROUP_CODES", 64):
+def _interned(build, *args):
+    """build(*args) with a kernel whose keys are interned ids of codes."""
+    with mock.patch.object(growth, "_DENSE_KEYS", 0):
         return build(*args)
 
 
@@ -203,15 +201,19 @@ CASES = {
     "empty word": (lambda: _module(2, (), 3), 3),
     "probes (1,1)": (lambda: _probes(1, 1, 3, 3), 3),
     "probes (2,2)": (lambda: _probes(2, 2, 2, 3), 2),
+    "module (1, 2, 1, 2) interned keys": (
+        lambda: _interned(_module, 2, (1, 2, 1, 2), 5), 5),
+    "probes (2,2) interned keys": (
+        lambda: _interned(_probes, 2, 2, 2, 3), 2),
     "1212 q=0.1": (lambda: _module(2, (1, 2, 1, 2), 6, q=0.1), 6),
     "121 q=0.05": (lambda: _module(2, (1, 2, 1), 6, q=0.05), 6),
     "12321 q=0.05": (lambda: _module(3, (1, 2, 3, 2, 1), 4, q=0.05), 4),
     "structural (2,2)": (lambda: _structural(2, 2, 2), 2),
     "structural (2,1) q=0.3": (lambda: _structural(2, 1, 2, q=0.3), 2),
     "walk (2,1)": (lambda: _walk(2, 1, 3), 3),
-    "structural (2,1) chained keys": (
-        lambda: _chained(_structural, 2, 1, 2), 2),
-    "walk (2,1) chained keys": (lambda: _chained(_walk, 2, 1, 3), 3),
+    "structural (2,1) interned keys": (
+        lambda: _interned(_structural, 2, 1, 2), 2),
+    "walk (2,1) interned keys": (lambda: _interned(_walk, 2, 1, 3), 3),
 }
 
 
@@ -292,7 +294,7 @@ def test_an_entry_at_its_floor_is_dropped():
     start = kernel.encode(qo.SparseVector(
         kernel.signature, {(1, 1): z, (0, 0): 1.0 + 0j}))
     reference = _reference(kernel, start, 2)
-    assert next(iter(reference[1])) == (start[0][1],)
+    assert next(iter(reference[1])) == start[0][1]
     _assert_law(kernel, start, reference, WHOLE)
 
 

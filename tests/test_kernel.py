@@ -8,8 +8,9 @@ series runs it on single vectors over N slots, the homogeneous probe series
 on stacks of probe images over Z (circle) and N slots.  growth.MonomialKernel
 runs the same expansion on monomial expansions of operator words, for the
 structural series and the witness walk; qoperators.monomial_decomposition is
-its oracle, entry for entry and bit for bit, each image's keys ascending,
-whether its keys are dense codes or interned ids of slot-group codes.
+its oracle, entry for entry and bit for bit, each image's keys ascending.
+Both kernels are checked with dense keys, their codes, and with keys
+interned as ids of codes.
 """
 
 from unittest import mock
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bqdim import growth, qoperators as qo, repsoq, weylb
+from bqdim import elimination, growth, qoperators as qo, repsoq, weylb
 from bqdim.repsoq import RepSpec
 
 from test_acceptance import MODULE_WORDS
@@ -40,14 +41,25 @@ CASES = WORDS + ["bare shifts"]
 SIGNED = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
 
 
-@pytest.fixture(scope="module")
-def kernels():
+def _module_kernels():
     """Generators and kernel per case."""
     out = {"bare shifts": (BARE, growth.ModuleKernel(BARE, Q, R_MAX))}
     for n, word in WORDS:
         gens = growth.module_generators(repsoq.rep_table(RepSpec(n, word)))
         out[n, word] = gens, growth.ModuleKernel(gens, Q, R_MAX)
     return out
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    return _module_kernels()
+
+
+@pytest.fixture(scope="module")
+def interned_kernels():
+    """The kernels of the cases, interning their keys."""
+    with mock.patch.object(growth, "_DENSE_KEYS", 0):
+        return _module_kernels()
 
 
 def _vectors(kernel):
@@ -67,7 +79,7 @@ def _vectors(kernel):
 
 def _decoded(kernel, keys, amps) -> dict:
     """An element keyed by index, or by (probe, index) for a stack."""
-    probe, rest = np.divmod(keys, kernel.size)
+    probe, rest = np.divmod(kernel.codes(keys), kernel.size)
     digits = np.array(np.unravel_index(rest, kernel.radices)).T
     index = (digits + np.array(kernel.lows, dtype=np.int64)).tolist()
     if kernel.probes == 1:
@@ -83,30 +95,46 @@ def _images(kernel, frontier) -> list:
             for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-@pytest.mark.parametrize("case", CASES, ids=str)
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_kernel_candidates_equal_apply_operator(kernels, case, data):
-    gens, kernel = kernels[case]
-    frontier = data.draw(_vectors(kernel))
+def _assert_candidates(gens, kernel, frontier):
+    """The kernel's images of the frontier are apply_operator's, in index
+    order where the keys are dense."""
     candidates = _images(kernel, [kernel.encode(v) for v in frontier])
     assert len(candidates) == len(frontier) * len(gens)
     expected = [qo.apply_operator(g, v, Q).entries
                 for v in frontier for g in gens]
     for want, (keys, amps) in zip(expected, candidates):
         got = _decoded(kernel, keys, amps)
-        assert list(got) == list(want)      # same entries, same order
+        assert got.keys() == want.keys()
+        if kernel.dense:
+            assert list(got) == list(want)      # same order
         scale = max((abs(a) for a in want.values()), default=0.0)
         for key, a in want.items():
             assert abs(got[key] - a) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_candidates_equal_apply_operator(kernels, case, data):
+    gens, kernel = kernels[case]
+    _assert_candidates(gens, kernel, data.draw(_vectors(kernel)))
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_interned_kernel_candidates_equal_apply_operator(interned_kernels,
+                                                         case, data):
+    gens, kernel = interned_kernels[case]
+    assert not kernel.dense
+    _assert_candidates(gens, kernel, data.draw(_vectors(kernel)))
 
 
 HOMOGENEOUS = [(1, 1), (2, 2), (2, 1)]
 REACH, STACK = 2, 3
 
 
-@pytest.fixture(scope="module")
-def probe_kernels():
+def _probe_kernels():
     """Homogeneous generators and their kernel for stacks of STACK vectors."""
     out = {}
     for n, m in HOMOGENEOUS:
@@ -117,6 +145,18 @@ def probe_kernels():
         out[n, m] = gens, growth.ModuleKernel(gens, Q, R_MAX, reach=REACH,
                                               probes=STACK)
     return out
+
+
+@pytest.fixture(scope="module")
+def probe_kernels():
+    return _probe_kernels()
+
+
+@pytest.fixture(scope="module")
+def interned_probe_kernels():
+    """The probe kernels, interning their keys."""
+    with mock.patch.object(growth, "_DENSE_KEYS", 0):
+        return _probe_kernels()
 
 
 def _stacks(kernel):
@@ -141,13 +181,9 @@ def _stacks(kernel):
     return st.lists(stack, min_size=1, max_size=2)
 
 
-@pytest.mark.parametrize("case", HOMOGENEOUS, ids=str)
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_kernel_stacks_equal_apply_operator_per_probe(probe_kernels, case,
-                                                      data):
-    gens, kernel = probe_kernels[case]
-    frontier = data.draw(_stacks(kernel))
+def _assert_stacks(gens, kernel, frontier):
+    """The kernel's images of the stacks are apply_operator's per probe,
+    in (probe, index) order where the keys are dense."""
     candidates = _images(kernel, [kernel.encode(*stack)
                                   for stack in frontier])
     assert len(candidates) == len(frontier) * len(gens)
@@ -155,9 +191,30 @@ def test_kernel_stacks_equal_apply_operator_per_probe(probe_kernels, case,
                  for index, a in qo.apply_operator(g, v, Q).entries.items()}
                 for stack in frontier for g in gens]
     for want, (keys, amps) in zip(expected, candidates):
-        # same entries, same order, same values
-        assert list(_decoded(kernel, keys, amps).items()) == \
-            list(want.items())
+        # same entries, same values; interned keys come in id order
+        got = _decoded(kernel, keys, amps)
+        assert got == want
+        if kernel.dense:
+            assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("case", HOMOGENEOUS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_stacks_equal_apply_operator_per_probe(probe_kernels, case,
+                                                      data):
+    gens, kernel = probe_kernels[case]
+    _assert_stacks(gens, kernel, data.draw(_stacks(kernel)))
+
+
+@pytest.mark.parametrize("case", HOMOGENEOUS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_interned_kernel_stacks_equal_apply_operator_per_probe(
+        interned_probe_kernels, case, data):
+    gens, kernel = interned_probe_kernels[case]
+    assert not kernel.dense
+    _assert_stacks(gens, kernel, data.draw(_stacks(kernel)))
 
 
 def test_kernel_raises_where_evaluate_raises():
@@ -195,17 +252,24 @@ def test_kernel_refuses_an_index_space_beyond_int64(monkeypatch):
         raise AssertionError("a table was compiled")
 
     monkeypatch.setattr(growth.qo, "compile_table", no_table)
+    monkeypatch.setattr(growth, "_SlotTable", no_table)
     # 9^30 indices on 30 slots at r_max = 8
     op = qo.elementary_tensor([qo.shift_up()] * 30)
     with pytest.raises(ValueError, match="int64"):
         growth.ModuleKernel([op], Q, 8)
-    # 9^13 indices fit alone, but not as a stack of 1000 probe images
-    op = qo.elementary_tensor([qo.shift_up()] * 13)
+    # 5^30 slot keys that 4 shifts reach on 30 slots
+    with pytest.raises(ValueError, match="int64"):
+        growth.MonomialKernel([op], Q, 4)
+    # 9^19 indices fit alone, but not as a stack of 1000 probe images
+    op = qo.elementary_tensor([qo.shift_up()] * 19)
     with pytest.raises(ValueError, match="int64"):
         growth.ModuleKernel([op], Q, 8, probes=1000)
-    # a single probe passes the guard and goes on to the table
-    with pytest.raises(AssertionError, match="compiled"):
-        growth.ModuleKernel([op], Q, 8, probes=1)
+    # 9^13 indices pass the guard and go on to the table, alone with dense
+    # keys and as a stack of 1000 with interned keys
+    op = qo.elementary_tensor([qo.shift_up()] * 13)
+    for probes in (1, 1000):
+        with pytest.raises(AssertionError, match="compiled"):
+            growth.ModuleKernel([op], Q, 8, probes=probes)
 
 
 def test_kernel_refuses_an_index_outside_the_window():
@@ -256,8 +320,7 @@ MONOMIAL = [(1, 1, 3), (2, 2, 2), (2, 1, 2)]
 def monomial_kernels():
     """Per (n, m, r_max, q, kind, keys): the operators and their monomial
     kernel, the homogeneous generators for a series, the witness letters
-    for a walk; keys dense, interned ids of one slot group, or a chain of
-    groups of at most 64 codes."""
+    for a walk; keys dense or interned."""
     cache = {}
 
     def get(case):
@@ -272,10 +335,7 @@ def monomial_kernels():
                 ops = [op for op, _, _ in growth.homogeneous_witnesses(n, m, w)]
             with mock.patch.object(growth, "_DENSE_KEYS",
                                    growth._DENSE_KEYS if keys == "dense"
-                                   else 0), \
-                    mock.patch.object(growth, "_GROUP_CODES",
-                                      growth._GROUP_CODES if keys != "chain"
-                                      else 64):
+                                   else 0):
                 cache[case] = ops, growth.MonomialKernel(ops, q, r_max)
         return cache[case]
     return get
@@ -294,7 +354,7 @@ def _expansions(kernel):
 
 
 def _monomials(kernel, keys, amps) -> dict:
-    digits = np.array(kernel._digits(kernel._codes(keys))).T.tolist()
+    digits = np.array(kernel._digits(kernel.codes(keys))).T.tolist()
     return {tuple(slot[d] for slot, d in zip(kernel.slot_keys, row)): a
             for row, a in zip(digits, amps.tolist())}
 
@@ -303,10 +363,9 @@ def _monomials(kernel, keys, amps) -> dict:
                                   for n, m, r_max in MONOMIAL
                                   for q in (0.5, 0.3)
                                   for kind in ("series", "walk")]
-                         + [(n, m, r_max, Q, kind, keys)
+                         + [(n, m, r_max, Q, kind, "interned")
                             for n, m, r_max in MONOMIAL
-                            for kind in ("series", "walk")
-                            for keys in ("interned", "chain")], ids=str)
+                            for kind in ("series", "walk")], ids=str)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_monomial_kernel_images_equal_monomial_decomposition(
@@ -400,13 +459,13 @@ def test_witness_walks_past_int64_intern_their_keys(n, m, r_max):
 def test_ids_number_codes_as_first_seen():
     """Ids follow first sight, the fresh codes of one call in code order;
     find interns nothing, and interning past _IDS ids is refused."""
-    ids = growth._Ids()
+    ids = elimination._Ids()
     assert ids.find(np.array([3])).tolist() == [-1]
     assert ids(np.array([30, 10, 30, 20])).tolist() == [2, 0, 2, 1]
     assert ids(np.array([5, 20, 40])).tolist() == [3, 1, 4]
     assert ids.find(np.array([40, 7, 10, 99])).tolist() == [4, -1, 0, -1]
     assert ids.codes.tolist() == [10, 20, 30, 5, 40]
-    with mock.patch.object(growth, "_IDS", 6):
+    with mock.patch.object(elimination, "_IDS", 6):
         assert ids(np.array([1, 40])).tolist() == [5, 4]
         with pytest.raises(ValueError, match="too many"):
             ids(np.array([2, 3]))
@@ -463,7 +522,8 @@ def test_groups_cut_maximal_bounded_runs(sizes, limit):
     consecutive runs covering every item once, each summing to at most
     limit or holding one item, each ending where the next item would pass
     limit."""
-    runs = list(growth._groups(np.array(sizes, dtype=np.int64), limit))
+    runs = list(elimination._groups(np.array(sizes, dtype=np.int64),
+                                    limit))
     assert [i for a, b in runs for i in range(a, b)] == list(range(len(sizes)))
     for a, b in runs:
         assert b > a

@@ -10,7 +10,9 @@ wall seconds go to stderr as ``<seconds> <job id>``, so stdout stays
 comparable between machines.  The jobs are every certbench job at seeds 0
 and 1, read from this checkout's ``certbench/workloads.py``, and the edge
 jobs below, so two checkouts are compared on one job list: diff their
-digests to see which jobs changed output.
+digests to see which jobs changed output.  A job id ending in
+``:interned`` reruns the job without it with every growth kernel
+interning its keys, and must print that job's digest.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ EDGE_JOBS = (
 SHIFTED_WITNESS_JOB = ("homogeneous:1:1:shifted-witness",
                        ("gkdim", "homogeneous", "--n", "1", "--m", "1",
                         "--rmax", "1", "--probe", "1"))
+# jobs rerun as "<job id>:interned" with interned kernel keys
+INTERNED_JOBS = ("seed0:module:2:1,2,1,2", "seed0:homogeneous:2:2")
 
 
 def certbench_jobs() -> list[tuple[str, tuple[str, ...]]]:
@@ -140,6 +144,17 @@ def shifted_witness(growth):
         yield
     finally:
         growth.homogeneous_witnesses = real
+
+
+@contextlib.contextmanager
+def interned_keys(growth):
+    """Every growth kernel interning its keys, however few they are."""
+    real = growth._DENSE_KEYS
+    growth._DENSE_KEYS = 0
+    try:
+        yield
+    finally:
+        growth._DENSE_KEYS = real
 
 
 def digest(cli, argv: tuple[str, ...], scratch: Path) -> str:
@@ -170,12 +185,18 @@ def main(argv=None) -> int:
     if Path(cli.__file__).resolve().parent.parent != src:
         raise SystemExit(f"bqdim was imported from {cli.__file__}, not {src}")
     growth = importlib.import_module("bqdim.growth")
+    jobs = certbench_jobs() + list(EDGE_JOBS)
     with tempfile.TemporaryDirectory() as tmp:
-        for job_id, job_argv in certbench_jobs() + list(EDGE_JOBS):
+        for job_id, job_argv in jobs:
             timed(job_id, lambda: digest(cli, job_argv, Path(tmp)))
         job_id, job_argv = SHIFTED_WITNESS_JOB
         with shifted_witness(growth):
             timed(job_id, lambda: digest(cli, job_argv, Path(tmp)))
+        with interned_keys(growth):
+            for job_id in INTERNED_JOBS:
+                job_argv = dict(jobs)[job_id]
+                timed(f"{job_id}:interned",
+                      lambda: digest(cli, job_argv, Path(tmp)))
     return 0
 
 
