@@ -7,8 +7,8 @@ reference of its law test, which keeps that echelon.  Every growth series
 and the witness rank run on it, in real float64 (growth builds every
 module series at t = 1: a torus point only rescales generator rows by
 unit scalars).  REL_TOL is the one place in growth that judges float
-noise.  _Ids numbers int64 codes, for the echelon and for the growth
-kernels that intern their keys; _groups cuts the bounded runs of both.
+noise.  _Ids numbers the echelon's keys, the kernels' int64 codes;
+_groups cuts the bounded runs of the echelon and of the kernels.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 # a candidate's residual entry at or below REL_TOL times its largest
 # initial |entry| is noise
 REL_TOL = 1e-8
-# interned keys number fewer than this, so that a kernel's block key
-# candidate * _IDS + id fits int64
+# the echelon numbers fewer keys than this, so that an id fits its int32
+# column store
 _IDS = 1 << 31
 
 
@@ -45,8 +45,9 @@ def _groups(sizes: np.ndarray, limit: int):
 
 
 class _Ids:
-    """Ids of int64 codes, numbered as they are first seen (codes first
-    seen in one call in code order); codes[i] is the code of id i."""
+    """Ids, fewer than _IDS, of int64 codes, numbered as they are first
+    seen (codes first seen in one call in code order); codes[i] is the
+    code of id i."""
 
     def __init__(self):
         self.codes = np.zeros(0, dtype=np.int64)
@@ -72,7 +73,7 @@ class _Ids:
             n = len(self.codes)
             if n + len(fresh) > _IDS:
                 raise ValueError(f"more than {_IDS} interned keys are too "
-                                 f"many for int64 block keys")
+                                 f"many for int32 columns")
             self.codes = np.concatenate([self.codes, fresh])
             at = np.searchsorted(self._sorted, fresh)
             self._sorted = np.insert(self._sorted, at, fresh)
@@ -143,11 +144,10 @@ class WeightEchelon:
     within each probe's start support added to L, and P an integer basis of
     its annihilator, every stacked image of a word lies in one weight class
     P (k - s_i), s_i a support point of probe i.  A pivot row lies in the
-    class of the image that made it, so classes never meet.  Keys get an id
-    on first sight, from _Ids as in the interning kernels; the layout lists
-    each class's known keys in descending code order (kernel.codes, which
-    is tuple order), the order in which the reference takes them, and grows
-    with each chunk.
+    class of the image that made it, so classes never meet.  Keys, the
+    kernel's codes, get an id from _Ids on first sight; the layout lists
+    each class's known keys in descending code order (tuple order), the
+    order in which the reference takes them, and grows with each chunk.
 
     Batches join a chunk until it holds _CHUNK_CELLS entries.  It is swept
     in dense rows over the columns of their classes, all rows at one column
@@ -222,8 +222,7 @@ class WeightEchelon:
         """The column of every known key: its rank in its class, in
         descending key order; classes lie in class order."""
         n = len(self._class)
-        self._id_at = np.lexsort((-self.kernel.codes(self._ids.codes),
-                                  self._class))
+        self._id_at = np.lexsort((-self._ids.codes, self._class))
         self._class_width = np.bincount(self._class,
                                         minlength=len(self._classes))
         self._class_start = np.cumsum(self._class_width) - self._class_width

@@ -6,20 +6,19 @@ to a start element, and the results are rank-reduced with a canonical
 pivot order.  The generators are compiled once per run at fixed q into
 per-slot transition tables over integer slot digits, and one routine
 expands a block of frontier elements by gather and scatter-add, each
-image's keys ascending.  A key's code packs its probe and slot digits in
-one int64 in mixed radix, and a kernel whose codes pass int64 is refused.
-The code is the key where block keys of the whole index space fit int64;
-past that (as for the (4, 2) and (4, 1) series at r_max = 2, and the
-witness walks of (4, 3) at r_max = 2 and (3, 1) at r_max = 3) the key is
-an interned id of the code.  Module growth runs it on vectors from the
-vacuum (ModuleKernel): a slot term is one term of a factor, with one
+image's keys ascending.  A key is its code, which packs its probe and
+slot digits in one int64 in mixed radix, and a kernel whose codes pass
+int64 is refused.  Blocks hold few enough candidates that their block
+keys fit int64 too (the (4, 2) and (4, 1) series at r_max = 2 expand an
+element in pieces of generators).  Module growth runs it on vectors from
+the vacuum (ModuleKernel): a slot term is one term of a factor, with one
 output, its coefficient evaluated once per index; the images carry the
-rounding and the exact-zero drop of apply_operator, and its index order
-where the keys are dense.  Algebra growth runs it on the monomial
-expansions of operator words from the identity's (MonomialKernel): a slot
-term is a whole factor, whose outputs are the monomials of its product
-with the slot key; each word expands from its parent's, one letter
-shorter, never composed, bit for bit as monomial_decomposition expands it.
+rounding, the exact-zero drop and the index order of apply_operator.
+Algebra growth runs it on the monomial expansions of operator words from
+the identity's (MonomialKernel): a slot term is a whole factor, whose
+outputs are the monomials of its product with the slot key; each word
+expands from its parent's, one letter shorter, never composed, bit for
+bit as monomial_decomposition expands it.
 elimination.WeightEchelon reduces the images a chunk at a time, split by
 torus-weight class, and its REL_TOL is the one place that judges float
 noise, so every rank is a float rank.  Both run in real float64 and
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagrams, qoperators as qo, repsoq, weylb
-from .elimination import _IDS, WeightEchelon, _groups, _Ids, _ranges
+from .elimination import WeightEchelon, _groups, _ranges
 from .qoperators import SparseVector, TensorOperator
 from .repsoq import GeneratorImageTable, RepSpec
 from .weylb import ParabolicSubset, SignedPermutation
@@ -135,11 +134,6 @@ def homogeneous_generators(eta: GeneratorImageTable, n: int, m: int
 # per-pass overhead small
 _BLOCK_CELLS = 8192
 _EXPAND_TERMS = 1 << 19
-# block keys (candidate, probe, key) at most this large hold the whole
-# index space, and a kernel keys by code; past it a kernel interns the
-# codes it reaches as ids below _IDS, so that a block key candidate * _IDS
-# + id still fits int64
-_DENSE_KEYS = np.iinfo(np.int64).max
 
 
 class _SlotTable:
@@ -192,20 +186,19 @@ class _SlotKernel:
     """Generators at fixed q, compiled once into per-slot transition tables.
 
     A frontier element is a pair (keys, amplitudes) of arrays holding a
-    stack of `probes` elements.  The code of a key holds its probe and one
-    digit per slot in mixed radix, the probe most significant, then slot
-    0; digit order is the order of what the digits stand for, so code order
-    is tuple order, on which elimination pivots.  A kernel whose codes pass
-    int64 is refused.  A dense kernel, whose block keys over the whole
-    stacked index space fit int64, keys by code; any other interns the
-    codes it reaches as ids, and codes maps keys back.  A term combination
-    c of generator operator[c] picks one slot term per slot and sends a key
-    to the cartesian product of its slot terms' outputs, slot 0 fastest,
-    each with amplitude times scalar[c], then times the outputs' values in
-    slot order.  batches cuts the frontier into blocks of at most
-    _BLOCK_CELLS (entry, combination) cells, at least _least (a generator's
-    mean summands) a candidate, so at most max(n_gens, _BLOCK_CELLS //
-    _least) candidates, and expands each block by gather and scatter-add
+    stack of `probes` elements.  A key is its code, which holds its probe
+    and one digit per slot in mixed radix, the probe most significant, then
+    slot 0; digit order is the order of what the digits stand for, so code
+    order is tuple order, on which elimination pivots.  A kernel whose
+    codes pass int64 is refused.  A term combination c of generator
+    operator[c] picks one slot term per slot and sends a key to the
+    cartesian product of its slot terms' outputs, slot 0 fastest, each with
+    amplitude times scalar[c], then times the outputs' values in slot
+    order.  A block key (candidate, code) fits int64 for at most _piece
+    candidates: batches puts a series element in pieces of at most _piece
+    generators, cuts the frontier into blocks of at most _BLOCK_CELLS
+    (entry, combination) cells, at least _least a candidate, so at most
+    _piece candidates, and expands each block by gather and scatter-add
     into one batch (bounds, keys, amplitudes), image i being
     keys[bounds[i]:bounds[i+1]], keys ascending; elimination.WeightEchelon
     reduces them batch by batch.  Each target sums its terms in (entry,
@@ -226,10 +219,8 @@ class _SlotKernel:
         self.strides = [math.prod(radices[s + 1:])
                         for s in range(len(radices))]
         self.lattice = _lattice(gens, len(radices))
-        self._least = max(1, sum(len(g.summands) for g in gens) // self.n_gens)
-        self.dense = (max(self.n_gens, _BLOCK_CELLS // self._least) * probes
-                      * self.size <= _DENSE_KEYS)
-        self._ids = None if self.dense else _Ids()
+        self._piece = np.iinfo(np.int64).max // (probes * self.size)
+        self._least = -(-_BLOCK_CELLS // self._piece)
 
     def _compiled(self, operator, scalar, slots: list[_SlotTable]):
         self.operator = np.array(operator, dtype=np.int64)
@@ -239,34 +230,31 @@ class _SlotKernel:
                                       np.arange(self.n_gens + 1))
         self._slots = slots
 
-    def codes(self, keys: np.ndarray) -> np.ndarray:
-        """The codes of keys."""
-        return keys if self.dense else self._ids.codes[keys]
-
-    def _key(self, codes: np.ndarray) -> np.ndarray:
-        """The keys of codes, new ones interned."""
-        return codes if self.dense else self._ids(codes)
-
     def _digits(self, codes: np.ndarray) -> list[np.ndarray]:
         return [codes // stride % radix
                 for stride, radix in zip(self.strides, self.radices)]
 
     def indices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The probe and the torus index (one row each) of stacked keys."""
-        codes = self.codes(keys)
         index = np.array([slot.index[k] for slot, k in
-                          zip(self._slots, self._digits(codes))],
+                          zip(self._slots, self._digits(keys))],
                          dtype=np.int64)
-        return (codes // self.size,
+        return (keys // self.size,
                 index.reshape(len(self.radices), len(keys)).T)
 
     def batches(self, frontier, letters=None):
         """Yield the images of every frontier element under every generator,
         in (element, generator) order, one batch per block; with letters
         (a walk), element i goes under generator letters[i] alone."""
-        lo = (np.zeros(len(frontier), dtype=np.int64) if letters is None
-              else np.asarray(letters, dtype=np.int64))
-        hi = lo + (self.n_gens if letters is None else 1)
+        if letters is None:
+            # each element under its generators in pieces of at most _piece
+            cut = np.arange(0, self.n_gens, self._piece)
+            frontier = [x for x in frontier for _ in cut]
+            lo = np.tile(cut, len(frontier) // len(cut))
+            hi = np.minimum(lo + self._piece, self.n_gens)
+        else:
+            lo = np.asarray(letters, dtype=np.int64)
+            hi = lo + 1
         # (entry, combination) cells, at least _least per candidate
         cost = (np.array([max(1, len(k)) for k, _ in frontier], dtype=np.int64)
                 * np.maximum(self._first[hi] - self._first[lo],
@@ -280,8 +268,7 @@ class _SlotKernel:
         keys = np.concatenate([k for k, _ in block])
         amps = np.concatenate([a for _, a in block])
         owner = np.repeat(np.arange(len(block)), [len(k) for k, _ in block])
-        codes = self.codes(keys)
-        digits = self._digits(codes)
+        digits = self._digits(keys)
         if not all(slot.inside[k].all()
                    for slot, k in zip(self._slots, digits)):
             raise ValueError("a frontier index has images outside the "
@@ -313,14 +300,14 @@ class _SlotKernel:
         # the codes; a bounded run of pairs at a time, each run's
         # sums starting from those of the runs before it, so every target
         # sums its terms in (entry, combination, output) order
-        stack = self.probes * self.size if self.dense else _IDS
+        stack = self.probes * self.size
         found, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
         for a, b in _groups(terms, _EXPAND_TERMS):
-            value, target, pair = self._terms(codes, amps, e[a:b], c[a:b],
+            value, target, pair = self._terms(keys, amps, e[a:b], c[a:b],
                                               [cell[a:b] for cell in cells])
             cand = base[owner[e[a:b][pair]]] + self.operator[c[a:b][pair]]
             found, inv = np.unique(
-                np.concatenate([found, cand * stack + self._key(target)]),
+                np.concatenate([found, cand * stack + target]),
                 return_inverse=True)
             sums = np.bincount(inv, weights=np.concatenate([sums, value]),
                                minlength=len(found))
@@ -371,7 +358,7 @@ class ModuleKernel(_SlotKernel):
     value gives none.  A module series stacks one vector, the vacuum, with
     reach 0.  Each stacked image equals apply_operator's images of the
     stacked vectors: the same nonzero entries, rounded the same way, in
-    index order where keys are dense (in id order where they are interned).
+    (probe, index) order.
     """
 
     def __init__(self, gens: list[TensorOperator], q: float, r_max: int,
@@ -420,7 +407,7 @@ class ModuleKernel(_SlotKernel):
                 codes.append(i * self.size + sum(
                     d * st for d, st in zip(digits, self.strides)))
                 amps.append(amp)
-        return self._key(np.array(codes, dtype=np.int64)), _real(amps)
+        return np.array(codes, dtype=np.int64), _real(amps)
 
 
 def _slot_closure(factors: list[qo.WeightedShiftSum], q: float, r_max: int):
@@ -498,8 +485,7 @@ class MonomialKernel(_SlotKernel):
                 raise ValueError(f"monomial {key} is outside the window")
             codes.append(sum(digit[k] * stride for k, digit, stride
                              in zip(key, self._digit, self.strides)))
-        return (self._key(np.array(codes, dtype=np.int64)),
-                _real(list(expansion.values())))
+        return np.array(codes, dtype=np.int64), _real(list(expansion.values()))
 
 
 def _module_series(spec: RepSpec, r_max: int, q: float, basis_cap: int

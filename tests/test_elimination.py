@@ -7,8 +7,8 @@ the same accepted images, in order, and the same stored rows under ==, a
 missing entry counting as 0, whatever the chunk budget: one row per sweep,
 a random one, or a whole level.  The streams are module and probe series,
 structural series of monomial expansions, and a witness walk, each also
-with interned keys.  At small q both sides still overcount (ROADMAP
-item 1); they must agree there too.
+with its blocks cut to at most two candidates.  At small q both sides
+still overcount (ROADMAP item 1); they must agree there too.
 """
 
 from unittest import mock
@@ -21,7 +21,7 @@ from bqdim import elimination, growth, qoperators as qo, repsoq, weylb
 from bqdim.repsoq import RepSpec
 
 from test_acceptance import MODULE_WORDS
-from test_kernel import BARE
+from test_kernel import BARE, _cut
 
 
 class Echelon:
@@ -76,13 +76,8 @@ ONE_ROW, WHOLE = 1, 1 << 40
 BUDGETS = st.just(WHOLE) | st.integers(64, 1 << 16)
 
 
-def _codes(kernel, keys) -> list[int]:
-    """Keys as their codes, whose order is the kernel's key order."""
-    return kernel.codes(keys).tolist()
-
-
-def _fingerprint(kernel, keys, amps) -> dict:
-    return dict(zip(_codes(kernel, keys), amps.tolist()))
+def _fingerprint(keys, amps) -> dict:
+    return dict(zip(keys.tolist(), amps.tolist()))
 
 
 def _reference(kernel, start, r_max, walk=None):
@@ -96,7 +91,7 @@ def _reference(kernel, start, r_max, walk=None):
         accepted = []
         for bounds, keys, amps in batches:
             for a, b in zip(bounds[:-1], bounds[1:]):
-                fp = _fingerprint(kernel, keys[a:b], amps[a:b])
+                fp = _fingerprint(keys[a:b], amps[a:b])
                 if fp and ech.add(fp) is not None:
                     accepted.append((keys[a:b], amps[a:b]))
         levels.append((batches, accepted))
@@ -111,8 +106,7 @@ def _rows(elim) -> dict:
     rows = {}
     for start, length in zip(elim._row_start[:elim.rank].tolist(),
                              elim._row_len[:elim.rank].tolist()):
-        keys = _codes(elim.kernel,
-                      elim._ids.codes[elim._col[start:start + length]])
+        keys = elim._ids.codes[elim._col[start:start + length]].tolist()
         values = elim._val[start:start + length].tolist()
         rows[keys[0]] = dict(zip(keys, values))
     return rows
@@ -164,10 +158,11 @@ def _structural(n, m, r_max, q=Q):
     return kernel, kernel.start
 
 
-def _interned(build, *args):
-    """build(*args) with a kernel whose keys are interned ids of codes."""
-    with mock.patch.object(growth, "_DENSE_KEYS", 0):
-        return build(*args)
+def _cut_blocks(build, *args):
+    """build(*args) with its kernel's blocks cut to at most two candidates,
+    a series element in pieces of two generators."""
+    kernel, *rest = build(*args)
+    return (_cut(kernel), *rest)
 
 
 def _walk(n, m, r_max):
@@ -201,19 +196,19 @@ CASES = {
     "empty word": (lambda: _module(2, (), 3), 3),
     "probes (1,1)": (lambda: _probes(1, 1, 3, 3), 3),
     "probes (2,2)": (lambda: _probes(2, 2, 2, 3), 2),
-    "module (1, 2, 1, 2) interned keys": (
-        lambda: _interned(_module, 2, (1, 2, 1, 2), 5), 5),
-    "probes (2,2) interned keys": (
-        lambda: _interned(_probes, 2, 2, 2, 3), 2),
+    "module (1, 2, 1, 2) cut blocks": (
+        lambda: _cut_blocks(_module, 2, (1, 2, 1, 2), 5), 5),
+    "probes (2,2) cut blocks": (
+        lambda: _cut_blocks(_probes, 2, 2, 2, 3), 2),
     "1212 q=0.1": (lambda: _module(2, (1, 2, 1, 2), 6, q=0.1), 6),
     "121 q=0.05": (lambda: _module(2, (1, 2, 1), 6, q=0.05), 6),
     "12321 q=0.05": (lambda: _module(3, (1, 2, 3, 2, 1), 4, q=0.05), 4),
     "structural (2,2)": (lambda: _structural(2, 2, 2), 2),
     "structural (2,1) q=0.3": (lambda: _structural(2, 1, 2, q=0.3), 2),
     "walk (2,1)": (lambda: _walk(2, 1, 3), 3),
-    "structural (2,1) interned keys": (
-        lambda: _interned(_structural, 2, 1, 2), 2),
-    "walk (2,1) interned keys": (lambda: _interned(_walk, 2, 1, 3), 3),
+    "structural (2,1) cut blocks": (
+        lambda: _cut_blocks(_structural, 2, 1, 2), 2),
+    "walk (2,1) cut blocks": (lambda: _cut_blocks(_walk, 2, 1, 3), 3),
 }
 
 

@@ -9,8 +9,9 @@ on stacks of probe images over Z (circle) and N slots.  growth.MonomialKernel
 runs the same expansion on monomial expansions of operator words, for the
 structural series and the witness walk; qoperators.monomial_decomposition is
 its oracle, entry for entry and bit for bit, each image's keys ascending.
-Both kernels are checked with dense keys, their codes, and with keys
-interned as ids of codes.
+Both kernels are checked with whole blocks and with blocks cut to at most
+two candidates, a series element in pieces of two generators, as blocks
+are cut where block keys would pass int64.
 """
 
 from unittest import mock
@@ -55,11 +56,18 @@ def kernels():
     return _module_kernels()
 
 
+def _cut(kernel):
+    """kernel, its blocks cut to at most two candidates."""
+    kernel._piece = 2
+    kernel._least = -(-growth._BLOCK_CELLS // kernel._piece)
+    return kernel
+
+
 @pytest.fixture(scope="module")
-def interned_kernels():
-    """The kernels of the cases, interning their keys."""
-    with mock.patch.object(growth, "_DENSE_KEYS", 0):
-        return _module_kernels()
+def cut_kernels():
+    """The kernels of the cases, their blocks cut."""
+    return {case: (gens, _cut(kernel))
+            for case, (gens, kernel) in _module_kernels().items()}
 
 
 def _vectors(kernel):
@@ -79,7 +87,7 @@ def _vectors(kernel):
 
 def _decoded(kernel, keys, amps) -> dict:
     """An element keyed by index, or by (probe, index) for a stack."""
-    probe, rest = np.divmod(kernel.codes(keys), kernel.size)
+    probe, rest = np.divmod(keys, kernel.size)
     digits = np.array(np.unravel_index(rest, kernel.radices)).T
     index = (digits + np.array(kernel.lows, dtype=np.int64)).tolist()
     if kernel.probes == 1:
@@ -87,26 +95,35 @@ def _decoded(kernel, keys, amps) -> dict:
     return dict(zip(zip(probe.tolist(), map(tuple, index)), amps.tolist()))
 
 
-def _images(kernel, frontier) -> list:
+def _assert_fits(kernel, candidates: int):
+    """A block holds at most _piece candidates, whose block keys fit
+    int64."""
+    assert candidates <= kernel._piece
+    assert candidates * kernel.probes * kernel.size - 1 \
+        <= np.iinfo(np.int64).max
+
+
+def _images(kernel, frontier, letters=None) -> list:
     """(keys, amplitudes) of every image in the kernel's batches, in
-    (element, generator) order."""
-    return [(keys[a:b], amps[a:b])
-            for bounds, keys, amps in kernel.batches(frontier)
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    (element, generator) order, each block checked to fit."""
+    images = []
+    for bounds, keys, amps in kernel.batches(frontier, letters):
+        _assert_fits(kernel, len(bounds) - 1)
+        images += [(keys[a:b], amps[a:b])
+                   for a, b in zip(bounds[:-1], bounds[1:])]
+    return images
 
 
 def _assert_candidates(gens, kernel, frontier):
     """The kernel's images of the frontier are apply_operator's, in index
-    order where the keys are dense."""
+    order."""
     candidates = _images(kernel, [kernel.encode(v) for v in frontier])
     assert len(candidates) == len(frontier) * len(gens)
     expected = [qo.apply_operator(g, v, Q).entries
                 for v in frontier for g in gens]
     for want, (keys, amps) in zip(expected, candidates):
         got = _decoded(kernel, keys, amps)
-        assert got.keys() == want.keys()
-        if kernel.dense:
-            assert list(got) == list(want)      # same order
+        assert list(got) == list(want)      # same keys, same order
         scale = max((abs(a) for a in want.values()), default=0.0)
         for key, a in want.items():
             assert abs(got[key] - a) <= 1e-12 * scale
@@ -123,10 +140,9 @@ def test_kernel_candidates_equal_apply_operator(kernels, case, data):
 @pytest.mark.parametrize("case", CASES, ids=str)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_interned_kernel_candidates_equal_apply_operator(interned_kernels,
-                                                         case, data):
-    gens, kernel = interned_kernels[case]
-    assert not kernel.dense
+def test_cut_kernel_candidates_equal_apply_operator(cut_kernels, case, data):
+    gens, kernel = cut_kernels[case]
+    assert kernel._piece < kernel.n_gens
     _assert_candidates(gens, kernel, data.draw(_vectors(kernel)))
 
 
@@ -153,10 +169,10 @@ def probe_kernels():
 
 
 @pytest.fixture(scope="module")
-def interned_probe_kernels():
-    """The probe kernels, interning their keys."""
-    with mock.patch.object(growth, "_DENSE_KEYS", 0):
-        return _probe_kernels()
+def cut_probe_kernels():
+    """The probe kernels, their blocks cut."""
+    return {case: (gens, _cut(kernel))
+            for case, (gens, kernel) in _probe_kernels().items()}
 
 
 def _stacks(kernel):
@@ -183,7 +199,7 @@ def _stacks(kernel):
 
 def _assert_stacks(gens, kernel, frontier):
     """The kernel's images of the stacks are apply_operator's per probe,
-    in (probe, index) order where the keys are dense."""
+    in (probe, index) order."""
     candidates = _images(kernel, [kernel.encode(*stack)
                                   for stack in frontier])
     assert len(candidates) == len(frontier) * len(gens)
@@ -191,11 +207,10 @@ def _assert_stacks(gens, kernel, frontier):
                  for index, a in qo.apply_operator(g, v, Q).entries.items()}
                 for stack in frontier for g in gens]
     for want, (keys, amps) in zip(expected, candidates):
-        # same entries, same values; interned keys come in id order
+        # same entries, same values, same order
         got = _decoded(kernel, keys, amps)
         assert got == want
-        if kernel.dense:
-            assert list(got) == list(want)
+        assert list(got) == list(want)
 
 
 @pytest.mark.parametrize("case", HOMOGENEOUS, ids=str)
@@ -210,10 +225,10 @@ def test_kernel_stacks_equal_apply_operator_per_probe(probe_kernels, case,
 @pytest.mark.parametrize("case", HOMOGENEOUS, ids=str)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_interned_kernel_stacks_equal_apply_operator_per_probe(
-        interned_probe_kernels, case, data):
-    gens, kernel = interned_probe_kernels[case]
-    assert not kernel.dense
+def test_cut_kernel_stacks_equal_apply_operator_per_probe(
+        cut_probe_kernels, case, data):
+    gens, kernel = cut_probe_kernels[case]
+    assert kernel._piece < kernel.n_gens
     _assert_stacks(gens, kernel, data.draw(_stacks(kernel)))
 
 
@@ -264,8 +279,8 @@ def test_kernel_refuses_an_index_space_beyond_int64(monkeypatch):
     op = qo.elementary_tensor([qo.shift_up()] * 19)
     with pytest.raises(ValueError, match="int64"):
         growth.ModuleKernel([op], Q, 8, probes=1000)
-    # 9^13 indices pass the guard and go on to the table, alone with dense
-    # keys and as a stack of 1000 with interned keys
+    # 9^13 indices pass the guard and go on to the table, alone and as a
+    # stack of 1000, whose blocks hold at most 3628 candidates
     op = qo.elementary_tensor([qo.shift_up()] * 13)
     for probes in (1, 1000):
         with pytest.raises(AssertionError, match="compiled"):
@@ -318,14 +333,14 @@ MONOMIAL = [(1, 1, 3), (2, 2, 2), (2, 1, 2)]
 
 @pytest.fixture(scope="module")
 def monomial_kernels():
-    """Per (n, m, r_max, q, kind, keys): the operators and their monomial
+    """Per (n, m, r_max, q, kind, blocks): the operators and their monomial
     kernel, the homogeneous generators for a series, the witness letters
-    for a walk; keys dense or interned."""
+    for a walk; blocks whole or cut."""
     cache = {}
 
     def get(case):
         if case not in cache:
-            n, m, r_max, q, kind, keys = case
+            n, m, r_max, q, kind, blocks = case
             w = weylb.longest_quotient_element(
                 n, weylb.ParabolicSubset.homogeneous(n, m))
             if kind == "series":
@@ -333,10 +348,8 @@ def monomial_kernels():
                     growth.homogeneous_rep(n, m, w), n, m)
             else:
                 ops = [op for op, _, _ in growth.homogeneous_witnesses(n, m, w)]
-            with mock.patch.object(growth, "_DENSE_KEYS",
-                                   growth._DENSE_KEYS if keys == "dense"
-                                   else 0):
-                cache[case] = ops, growth.MonomialKernel(ops, q, r_max)
+            kernel = growth.MonomialKernel(ops, q, r_max)
+            cache[case] = ops, _cut(kernel) if blocks == "cut" else kernel
         return cache[case]
     return get
 
@@ -354,16 +367,16 @@ def _expansions(kernel):
 
 
 def _monomials(kernel, keys, amps) -> dict:
-    digits = np.array(kernel._digits(kernel.codes(keys))).T.tolist()
+    digits = np.array(kernel._digits(keys)).T.tolist()
     return {tuple(slot[d] for slot, d in zip(kernel.slot_keys, row)): a
             for row, a in zip(digits, amps.tolist())}
 
 
-@pytest.mark.parametrize("case", [(n, m, r_max, q, kind, "dense")
+@pytest.mark.parametrize("case", [(n, m, r_max, q, kind, "whole")
                                   for n, m, r_max in MONOMIAL
                                   for q in (0.5, 0.3)
                                   for kind in ("series", "walk")]
-                         + [(n, m, r_max, Q, kind, "interned")
+                         + [(n, m, r_max, Q, kind, "cut")
                             for n, m, r_max in MONOMIAL
                             for kind in ("series", "walk")], ids=str)
 @settings(max_examples=15, deadline=None)
@@ -377,15 +390,14 @@ def test_monomial_kernel_images_equal_monomial_decomposition(
     run = data.draw(st.sampled_from([growth._EXPAND_TERMS, 1, 37]))
     if kind == "series":
         pairs = [(x, g) for x in frontier for g in range(len(ops))]
-        batches = kernel.batches([kernel.encode(x) for x in frontier])
+        elements, letters = frontier, None
     else:
         pairs = [(x, data.draw(st.integers(0, len(ops) - 1)))
                  for x in frontier]
-        batches = kernel.batches([kernel.encode(x) for x, _ in pairs],
-                                 [g for _, g in pairs])
+        elements, letters = [x for x, _ in pairs], [g for _, g in pairs]
     with mock.patch.object(growth, "_EXPAND_TERMS", run):
-        images = [(keys[a:b], amps[a:b]) for bounds, keys, amps in batches
-                  for a, b in zip(bounds[:-1], bounds[1:])]
+        images = _images(kernel, [kernel.encode(x) for x in elements],
+                         letters)
     assert len(images) == len(pairs)
     for (x, g), (keys, amps) in zip(pairs, images):
         # the same entries, equal under ==, keys ascending
@@ -408,47 +420,45 @@ def test_monomial_kernel_refuses_keys_outside_the_window():
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (4, 1)])
-def test_monomial_kernels_past_int64_intern_their_keys(n, m):
+def test_monomial_kernels_past_int64_block_keys_expand_in_pieces(n, m):
     """At r_max = 2 the slot keys of the (4, 2) and (4, 1) generators span
-    1.2e17 and 8.9e18 keys, past dense int64 block keys (their witness
-    letters span 5.2e22 and 9.7e24); the kernels intern the keys they
-    reach, and the identity expands under every generator, or under one
-    letter each, to monomial_decomposition."""
+    1.2e17 and 8.9e18 keys, so a block of all the generators' candidates
+    would pass int64 block keys (their witness letters span 5.2e22 and
+    9.7e24, past int64 codes); an element expands in pieces of at most
+    _piece generators, and the identity expands under every generator, or
+    under one letter each, to monomial_decomposition."""
     w = weylb.longest_quotient_element(n, weylb.ParabolicSubset.homogeneous(n, m))
     gens = growth.homogeneous_generators(growth.homogeneous_rep(n, m, w), n, m)
     kernel = growth.MonomialKernel(gens, Q, 2)
-    assert not kernel.dense
+    assert kernel._piece < kernel.n_gens
     x = {((0, 0, ()),) * len(kernel.radices): 1.0 + 0j}
     want = [qo.monomial_decomposition(g, Q, x) for g in gens]
     assert [_monomials(kernel, *image)
             for image in _images(kernel, [kernel.start])] == want
     letters = [0, len(gens) - 1, 1]
-    walked = [(keys[a:b], amps[a:b]) for bounds, keys, amps
-              in kernel.batches([kernel.start] * 3, letters)
-              for a, b in zip(bounds[:-1], bounds[1:])]
+    walked = _images(kernel, [kernel.start] * 3, letters)
     assert [_monomials(kernel, *image) for image in walked] == \
         [want[g] for g in letters]
 
 
 @pytest.mark.parametrize("n,m,r_max", [(4, 3, 2), (3, 1, 3)])
-def test_witness_walks_past_int64_intern_their_keys(n, m, r_max):
+def test_witness_walks_past_int64_block_keys_cut_their_blocks(n, m, r_max):
     """The slot keys of the (4, 3) witness letters at r_max = 2 and of the
-    (3, 1) ones at r_max = 3 span 4.7e17 and 3.2e17 keys, past dense int64
-    block keys, although their series kernels fit; the walk kernels intern
-    the keys they reach.  The walk's first level, and the first patterns of
-    its second, each expanded from its parent under its last letter, equal
+    (3, 1) ones at r_max = 3 span 4.7e17 and 3.2e17 keys, so a block of
+    _BLOCK_CELLS candidates would pass int64 block keys, although their
+    series kernels fit; the walk's blocks hold at most _piece candidates.
+    The walk's first level, and the first patterns of its second, each
+    expanded from its parent under its last letter, equal
     monomial_decomposition."""
     w = weylb.longest_quotient_element(n, weylb.ParabolicSubset.homogeneous(n, m))
     letters = growth.homogeneous_witnesses(n, m, w)
     kernel = growth.MonomialKernel([op for op, _, _ in letters], Q, r_max)
-    assert not kernel.dense
+    assert kernel._piece < growth._BLOCK_CELLS
     values = [kernel.start]
     for level in growth._witness_levels(letters, kernel.signature, 2):
         level = level[:len(letters)]
         parents = [values[parent] for _, _, parent, _ in level]
-        walked = [(keys[a:b], amps[a:b]) for bounds, keys, amps
-                  in kernel.batches(parents, [last for *_, last in level])
-                  for a, b in zip(bounds[:-1], bounds[1:])]
+        walked = _images(kernel, parents, [last for *_, last in level])
         assert [_monomials(kernel, *image) for image in walked] == \
             [qo.monomial_decomposition(letters[last][0], Q,
                                        _monomials(kernel, *parent))
@@ -477,11 +487,11 @@ def test_ids_number_codes_as_first_seen():
                                   "walk under a zero letter"])
 def test_blocks_hold_a_bounded_number_of_candidates(kind):
     """Blocks are cut by their (entry, combination) cells, and a candidate
-    costs at least a generator's mean number of summands, so each block
-    holds at most max(n_gens, _BLOCK_CELLS // that) candidates, the bound
-    the dense keys are sized by.  A letter missing from its table is the
-    zero operator, which has no combinations: without the floor its 20,000
-    candidates would make one block."""
+    costs at least one cell, so each block holds at most max(n_gens,
+    _BLOCK_CELLS) candidates, and at most _piece, whose block keys fit
+    int64.  A letter missing from its table is the zero operator, which
+    has no combinations: without the floor its 20,000 candidates would
+    make one block."""
     w = weylb.longest_quotient_element(2, weylb.ParabolicSubset.homogeneous(2, 2))
     ops = growth.homogeneous_generators(growth.homogeneous_rep(2, 2, w), 2, 2)
     letters = None
@@ -504,14 +514,12 @@ def test_blocks_hold_a_bounded_number_of_candidates(kind):
         frontier = [kernel.start] * 20000
         letters = [i % len(ops) if kind == "walk" else len(ops) - 1
                    for i in range(len(frontier))]
-    least = max(1, sum(len(op.summands) for op in ops) // len(ops))
-    bound = max(len(ops), growth._BLOCK_CELLS // least)
-    assert kernel.dense == (bound * kernel.probes * kernel.size
-                            <= growth._DENSE_KEYS)
     candidates = [len(bounds) - 1
                   for bounds, _, _ in kernel.batches(frontier, letters)]
     assert sum(candidates) == len(frontier) * (1 if letters else len(ops))
-    assert max(candidates) <= bound
+    for n in candidates:
+        _assert_fits(kernel, n)
+    assert max(candidates) <= max(len(ops), growth._BLOCK_CELLS)
 
 
 @settings(max_examples=200, deadline=None)

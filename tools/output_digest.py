@@ -11,8 +11,9 @@ comparable between machines.  The jobs are every certbench job at seeds 0
 and 1, read from this checkout's ``certbench/workloads.py``, and the edge
 jobs below, so two checkouts are compared on one job list: diff their
 digests to see which jobs changed output.  A job id ending in
-``:interned`` reruns the job without it with every growth kernel
-interning its keys, and must print that job's digest.
+``:small-blocks`` reruns the job without it with the growth kernels'
+blocks cut at 256 (entry, combination) cells, and must print that job's
+digest: the output does not depend on where blocks end.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ EDGE_JOBS = (
 SHIFTED_WITNESS_JOB = ("homogeneous:1:1:shifted-witness",
                        ("gkdim", "homogeneous", "--n", "1", "--m", "1",
                         "--rmax", "1", "--probe", "1"))
-# jobs rerun as "<job id>:interned" with interned kernel keys
-INTERNED_JOBS = ("seed0:module:2:1,2,1,2", "seed0:homogeneous:2:2")
+# jobs rerun as "<job id>:small-blocks" with small kernel blocks
+SMALL_BLOCK_JOBS = ("seed0:module:2:1,2,1,2", "seed0:homogeneous:2:2")
 
 
 def certbench_jobs() -> list[tuple[str, tuple[str, ...]]]:
@@ -147,14 +148,14 @@ def shifted_witness(growth):
 
 
 @contextlib.contextmanager
-def interned_keys(growth):
-    """Every growth kernel interning its keys, however few they are."""
-    real = growth._DENSE_KEYS
-    growth._DENSE_KEYS = 0
+def small_blocks(growth):
+    """Growth kernel blocks cut at 256 (entry, combination) cells."""
+    real = growth._BLOCK_CELLS
+    growth._BLOCK_CELLS = 256
     try:
         yield
     finally:
-        growth._DENSE_KEYS = real
+        growth._BLOCK_CELLS = real
 
 
 def digest(cli, argv: tuple[str, ...], scratch: Path) -> str:
@@ -192,10 +193,10 @@ def main(argv=None) -> int:
         job_id, job_argv = SHIFTED_WITNESS_JOB
         with shifted_witness(growth):
             timed(job_id, lambda: digest(cli, job_argv, Path(tmp)))
-        with interned_keys(growth):
-            for job_id in INTERNED_JOBS:
+        with small_blocks(growth):
+            for job_id in SMALL_BLOCK_JOBS:
                 job_argv = dict(jobs)[job_id]
-                timed(f"{job_id}:interned",
+                timed(f"{job_id}:small-blocks",
                       lambda: digest(cli, job_argv, Path(tmp)))
     return 0
 
